@@ -100,6 +100,7 @@ class Segment:
         self.counters: dict[str, int] = dict.fromkeys(COUNTERS, 0)
         self.train_examples = 0
         self.reports: list[tuple[float, float]] = []  # (overall, bottom decile) per evaluate
+        self.overhead_s = 0.0  # time spent in wrappers and hooks outside the wrapped calls
 
     def self_times(self) -> tuple[dict[str, float], dict[str, int]]:
         """Self time (span minus the time its direct children cover) and
@@ -178,6 +179,7 @@ class Tracer:
         hook = getattr(self, "_on_" + name.replace(".", "_"), None)
 
         def wrapper(*args, **kwargs):
+            entered = time.perf_counter()
             parent = self._stack[-1] if self._stack else -1
             idx = self._open(name)
             try:
@@ -186,6 +188,8 @@ class Tracer:
                 self._close(idx)
             if hook is not None:
                 hook(parent, args, kwargs, result)
+            seg = self.segment
+            seg.overhead_s += time.perf_counter() - entered - (seg.ends[idx] - seg.starts[idx])
             return result
 
         wrapper.__wrapped__ = fn
@@ -238,11 +242,11 @@ def segment_values(seg: Segment) -> dict[str, float]:
     return values
 
 
-def per_layer_metrics(
-    setup: Segment, rounds: list[Segment], decode_accuracy: float, overhead_s: float
-) -> dict[str, float]:
+def per_layer_metrics(setup: Segment, rounds: list[Segment], decode_accuracy: float) -> dict[str, float]:
     """Set-up plus the median traced round, for every per-layer metric.
-    Counts repeat exactly from round to round, so their median is whole."""
+    Counts repeat exactly from round to round, so their median is whole.
+    The tracing overhead is that of the median round alone, the part a
+    traced round adds to an untraced one."""
     base = segment_values(setup)
     per_round = [segment_values(r) for r in rounds]
     values = {k: base[k] + float(np.median([r[k] for r in per_round])) for k in base}
@@ -253,7 +257,7 @@ def per_layer_metrics(
         "harness.overall_accuracy": float(np.mean([r[0] for r in reports])) if reports else 0.0,
         "harness.bottom_decile_accuracy": float(np.mean([r[1] for r in reports])) if reports else 0.0,
         "cli.decode.accuracy": decode_accuracy,
-        "trace.overhead_s": overhead_s,
+        "trace.overhead_s": float(np.median([r.overhead_s for r in rounds])),
     })
     return {
         name: round(values[name]) if unit == "count" else values[name] for name, unit, _ in per_layer_spec()
