@@ -28,7 +28,7 @@ from .corrector import (
     detect_and_remask,
     train_corrector,
 )
-from .decoder import DecodeState, confidence, decode, plan_open_counts
+from .decoder import confidence, decode, plan_open_counts
 from .errors import ConfigError, NumericsError
 from .harness import (
     ExperimentConfig,
@@ -55,6 +55,7 @@ from .schedule import (
     apply_mask,
     cosine_probability,
     ctf_probabilities,
+    ctf_probability_table,
     expected_masked_cosine,
     sample_mask,
 )

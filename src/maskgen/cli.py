@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import struct
 import sys
 from dataclasses import replace
 
@@ -93,18 +94,39 @@ def _cmd_train_corrector(args) -> int:
     return 0
 
 
+def _read(field: str, loader, path):
+    """Load an input file; a missing, unreadable or malformed one is a
+    config error naming the flag."""
+    try:
+        return loader(path)
+    except (OSError, ValueError, struct.error) as exc:
+        raise ConfigError(field, f"cannot read {path}: {exc}") from None
+
+
 def _cmd_decode(args) -> int:
-    model = predictor.load_predictor(args.model)
-    observations = corpuslib.load_corpus(args.input)
-    if observations.vocab_size != model.vocab_size:
-        raise ConfigError("input", f"corpus vocab {observations.vocab_size} != model vocab {model.vocab_size}")
     if args.selection == "sample" and args.seed is None:
         raise ConfigError("seed", "--seed is required with --selection sample")
-    freq = corpuslib.load_frequency_csv(args.freq_csv) if args.freq_csv else None
+    if args.temperature < 0.0:
+        raise ConfigError("temperature", f"must be >= 0, got {args.temperature}")
+    if args.rounds < 0:
+        raise ConfigError("rounds", f"must be >= 0, got {args.rounds}")
+    if not 0.0 <= args.theta <= 1.0:
+        raise ConfigError("theta", f"must be in [0,1], got {args.theta}")
+    model = _read("model", predictor.load_predictor, args.model)
+    observations = _read("input", corpuslib.load_corpus, args.input)
+    if observations.vocab_size != model.vocab_size:
+        raise ConfigError("input", f"corpus vocab {observations.vocab_size} != model vocab {model.vocab_size}")
+    if not 1 <= args.n_steps <= observations.seq_len:
+        raise ConfigError("n_steps", f"must lie in [1, seq_len {observations.seq_len}], got {args.n_steps}")
+    freq = _read("freq_csv", corpuslib.load_frequency_csv, args.freq_csv) if args.freq_csv else None
+    if freq is not None and freq.vocab_size != model.vocab_size:
+        raise ConfigError("freq_csv", f"table vocab {freq.vocab_size} != model vocab {model.vocab_size}")
     mode = MaskMode(args.mask_mode)
     if mode is MaskMode.CTF and freq is None:
         raise ConfigError("freq_csv", "--freq-csv is required for ctf decoding")
-    corrector = corrlib.load_corrector(args.corrector) if args.corrector else None
+    corrector = _read("corrector", corrlib.load_corrector, args.corrector) if args.corrector else None
+    if corrector is not None and corrector.vocab_size != model.vocab_size:
+        raise ConfigError("corrector", f"corrector vocab {corrector.vocab_size} != model vocab {model.vocab_size}")
     sched = ScheduleConfig(
         n_steps=args.n_steps, mode=mode, convention=Convention(args.convention),
         mask_token_id=model.vocab_size,

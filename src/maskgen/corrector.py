@@ -210,13 +210,17 @@ def correct(
     nothing is flagged or a round leaves the sequence unchanged (a fixed
     point: identical input would be flagged and refilled identically).
     Positions never flagged are never modified; rounds=0 is the identity.
+    Raises ``NumericsError`` when the suspicion scores or the refill
+    probabilities are not finite.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     current = np.asarray(decoded, dtype=np.int64).copy()
     mask_id = predictor.mask_token_id
-    for _ in range(rounds):
+    for r in range(rounds):
         verdict = detect_and_remask(current, corrector, threshold)
+        if not np.isfinite(verdict.suspicion).all():
+            raise NumericsError(f"non-finite suspicion scores in correction round {r}")
         if not verdict.remask.any():
             break
         masked = apply_mask(current, verdict.remask, mask_id)
@@ -225,10 +229,12 @@ def correct(
                 predictor, ctx, full_decode, rng=rng, p_base=p_base, initial=masked
             )
         else:
-            pred = forward(predictor, masked, ctx)
+            flagged = np.flatnonzero(verdict.remask)
+            probs = forward(predictor, masked, ctx, positions=flagged).probs
+            if not np.isfinite(probs).all():
+                raise NumericsError(f"non-finite refill probabilities in correction round {r}")
             refilled = masked.copy()
-            flagged = verdict.remask == 1
-            refilled[flagged] = pred.probs[flagged].argmax(axis=1)
+            refilled[flagged] = probs.argmax(axis=1)
         if np.array_equal(refilled, current):
             break
         current = refilled

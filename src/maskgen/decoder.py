@@ -4,11 +4,14 @@ exactly the scheduled number of positions open for the next step.
 
 The per-step open-count targets come from the schedule's expected masked
 counts, rounded half-up and repaired to a strictly decreasing sequence from
-T down to 0, so every step commits at least one position and decoding
-finishes in exactly n_steps forward passes. In coarse-to-fine mode the
-stay-open priority of a position is additionally weighted by its rarity,
-so positions holding frequent tokens commit earlier and rare ones are
-refined last with the most visible context.
+T down to 0, so every step of a decode from the fully masked state commits
+at least one position and decoding finishes in n_steps steps. A decode
+from a partly committed ``initial`` clamps the plan to the open count, so
+some of its steps commit nothing; under greedy selection those steps run
+no forward pass, so a decode takes at most n_steps forward passes. In
+coarse-to-fine mode the stay-open priority of a position is additionally
+weighted by its rarity, so positions holding frequent tokens commit earlier
+and rare ones are refined last with the most visible context.
 """
 
 from __future__ import annotations
@@ -18,23 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericsError
 from .predictor import ConditioningContext, PredictionOutput, PredictorModel, forward
-from .schedule import (
-    Convention,
-    MaskMode,
-    ScheduleConfig,
-    ctf_probabilities,
-    expected_masked_cosine,
-)
-
-
-@dataclass
-class DecodeState:
-    current: np.ndarray  # (T,) with mask_token_id at open positions
-    committed: np.ndarray  # (T,) int8; 1 where a value has been fixed
-    step: int
-    confidences: np.ndarray  # (T,) confidence recorded at commit time, 0 while open
-    target_open_counts: np.ndarray  # (n_steps+1,) planned open positions per step
+from .schedule import MaskMode, ScheduleConfig, ctf_probability_table, expected_masked_cosine
 
 
 @dataclass
@@ -45,7 +34,10 @@ class StepTrace:
 
 
 def plan_open_counts(
-    sched: ScheduleConfig, seq_len: int, p_base: np.ndarray | None = None
+    sched: ScheduleConfig,
+    seq_len: int,
+    p_base: np.ndarray | None = None,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Open-position targets per step: strictly decreasing from T to 0.
 
@@ -53,24 +45,25 @@ def plan_open_counts(
     the clipped coarse-to-fine sum when p_base is given in CTF mode). The
     repair pass pins both endpoints and enforces a strict decrease so each
     step commits at least one position; this needs n_steps <= seq_len.
+    ``table`` is ``ctf_probability_table(p_base, ...)`` when the caller has
+    already built it.
     """
     n = sched.n_steps
     if n > seq_len:
         raise ValueError(f"n_steps ({n}) must not exceed seq_len ({seq_len})")
-    use_ctf = sched.mode is MaskMode.CTF and p_base is not None
-    raw = np.empty(n + 1, dtype=np.int64)
-    for i in range(n + 1):
-        if use_ctf:
-            expected = float(ctf_probabilities(p_base, i, n, sched.convention).sum())
-        else:
-            expected = expected_masked_cosine(i, n, seq_len, sched.convention)
-        raw[i] = math.floor(expected + 0.5)  # round half up
+    if table is None and sched.mode is MaskMode.CTF and p_base is not None:
+        table = ctf_probability_table(p_base, n, sched.convention)
+    if table is not None:
+        expected = table.sum(axis=1)
+    else:
+        expected = [expected_masked_cosine(i, n, seq_len, sched.convention) for i in range(n + 1)]
+    raw = [math.floor(e + 0.5) for e in expected]  # round half up
 
-    counts = np.zeros(n + 1, dtype=np.int64)
+    counts = [0] * (n + 1)
     for i in range(n - 1, 0, -1):
-        counts[i] = max(counts[i + 1] + 1, min(int(raw[i]), seq_len - i))
+        counts[i] = max(counts[i + 1] + 1, min(raw[i], seq_len - i))
     counts[0] = seq_len
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def confidence(pred: PredictionOutput, position: int) -> float:
@@ -116,7 +109,8 @@ def decode(
     p_base: np.ndarray | None = None,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[StepTrace]]:
-    """Reconstruct a full sequence in exactly ``sched.n_steps`` steps.
+    """Reconstruct a full sequence in ``sched.n_steps`` steps, with at most
+    that many forward passes.
 
     Each step predicts every open position, picks a token per position
     (greedy argmax, or temperature sampling with the temperature annealed
@@ -127,7 +121,12 @@ def decode(
 
     ``initial`` may pre-commit positions (everything not equal to the mask
     token); the plan is clamped to the initially open count. With nothing
-    open the input is returned untouched with no forward pass.
+    open the input is returned untouched with no forward pass. Under greedy
+    selection a step whose plan commits nothing runs no forward pass: its
+    input is the next step's input, so its trace row repeats that step's
+    open count and mean confidence. The trace always has ``n_steps`` rows.
+
+    Raises ``NumericsError`` when the predicted probabilities are not finite.
     """
     if selection not in ("greedy", "sample"):
         raise ValueError(f"unknown selection {selection!r}")
@@ -137,6 +136,7 @@ def decode(
         raise ValueError("CTF decoding needs the per-position p_base vector")
     t = ctx.seq_len
     mask_id = sched.mask_token_id
+    n = sched.n_steps
 
     if initial is None:
         current = np.full(t, mask_id, dtype=np.int64)
@@ -144,46 +144,47 @@ def decode(
         current = np.asarray(initial, dtype=np.int64).copy()
         if current.shape[0] != t:
             raise ValueError("initial sequence length does not match conditioning")
-    open0 = int((current == mask_id).sum())
-    state = DecodeState(
-        current=current,
-        committed=(current != mask_id).astype(np.int8),
-        step=0,
-        confidences=np.zeros(t),
-        target_open_counts=np.minimum(plan_open_counts(sched, t, p_base), open0),
-    )
+    open_idx = np.flatnonzero(current == mask_id)
+    table = ctf_probability_table(p_base, n, sched.convention) if sched.mode is MaskMode.CTF else None
+    plan = np.minimum(plan_open_counts(sched, t, p_base, table=table), open_idx.shape[0])
     trace: list[StepTrace] = []
-    if open0 == 0:
-        return state.current, trace
+    if open_idx.shape[0] == 0:
+        return current, trace
 
-    n = sched.n_steps
+    idle = 0  # greedy steps skipped since the last forward pass
     for i in range(n):
-        pred = forward(model, state.current, ctx)
-        open_idx = np.flatnonzero(state.current == mask_id)
+        n_commit = open_idx.shape[0] - int(plan[i + 1])
+        if selection == "greedy" and n_commit <= 0:
+            idle += 1
+            continue
+        probs = forward(model, current, ctx, positions=open_idx).probs
+        if not np.isfinite(probs).all():
+            raise NumericsError(f"non-finite probabilities at decode step {i}")
         if selection == "sample":
             step_temp = temperature * (1.0 - (i + 1) / n)
-            chosen = _choose(pred.probs[open_idx], selection, step_temp, rng)
+            chosen = _choose(probs, selection, step_temp, rng)
         else:
-            chosen = pred.probs[open_idx].argmax(axis=1)
-        conf = pred.probs[open_idx, chosen]
-        trace.append(StepTrace(step=i, open_count=open_idx.shape[0], mean_confidence=float(conf.mean())))
+            chosen = probs.argmax(axis=1)
+        conf = probs[np.arange(open_idx.shape[0]), chosen]
+        mean_conf = float(conf.mean())
+        trace.extend(
+            StepTrace(step=k, open_count=open_idx.shape[0], mean_confidence=mean_conf)
+            for k in range(i - idle, i + 1)
+        )
+        idle = 0
 
-        n_commit = open_idx.shape[0] - int(state.target_open_counts[i + 1])
         if n_commit > 0:
-            if sched.mode is MaskMode.CTF:
-                stay = ctf_probabilities(p_base, i + 1, n, sched.convention)[open_idx] * (1.0 - conf)
+            if table is not None:
+                stay = table[i + 1, open_idx] * (1.0 - conf)
             else:
                 stay = 1.0 - conf
             # commit the lowest stay-open scores; ties resolved by position
-            order = np.lexsort((open_idx, stay))
-            pick = order[:n_commit]
-            state.current[open_idx[pick]] = chosen[pick]
-            state.committed[open_idx[pick]] = 1
-            state.confidences[open_idx[pick]] = conf[pick]
-        state.step = i + 1
+            pick = np.lexsort((open_idx, stay))[:n_commit]
+            current[open_idx[pick]] = chosen[pick]
+            open_idx = np.flatnonzero(current == mask_id)
 
-    assert not (state.current == mask_id).any()
-    return state.current, trace
+    assert open_idx.shape[0] == 0
+    return current, trace
 
 
 def write_decode_trace(trace: list[StepTrace], path, comment: str | None = None) -> None:

@@ -147,8 +147,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("rho", f"must be in [0,1], got {cfg.rho}")
     if not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError("theta", f"must be in [0,1], got {cfg.theta}")
-    if cfg.n_steps < 1:
-        raise ConfigError("n_steps", f"must be >= 1, got {cfg.n_steps}")
+    for name in ("batch", "epochs", "num_docs", "test_docs", "seq_len", "embed_dim", "n_steps"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(name, f"must be >= 1, got {getattr(cfg, name)}")
+    for name in ("radius", "corrector_rounds"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(name, f"must be >= 0, got {getattr(cfg, name)}")
     if cfg.n_steps > cfg.seq_len:
         raise ConfigError("n_steps", f"must not exceed seq_len ({cfg.seq_len}), got {cfg.n_steps}")
 
@@ -332,21 +336,7 @@ def build_pipeline(cfg: ExperimentConfig, force_corrector: bool | None = None) -
         cfg.vocab_size, cfg.test_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order, seeds["test_corpus"]
     )
     freq = frequency_table(train_corpus)
-    sched = ScheduleConfig(
-        n_steps=cfg.n_steps,
-        mode=MaskMode(cfg.mask_mode),
-        convention=Convention(cfg.convention),
-        mask_token_id=cfg.vocab_size,
-    )
-    model, history = train(
-        train_corpus,
-        freq,
-        sched,
-        TrainConfig(
-            lr=cfg.lr, epochs=cfg.epochs, batch=cfg.batch, rho=cfg.rho,
-            seed=seeds["fit"], dim=cfg.embed_dim, radius=cfg.radius,
-        ),
-    )
+    sched, model, history = _fit_predictor(cfg, train_corpus, freq)
     use_corr = cfg.use_corrector if force_corrector is None else force_corrector
     corrector = None
     if use_corr:
@@ -361,6 +351,28 @@ def build_pipeline(cfg: ExperimentConfig, force_corrector: bool | None = None) -
         train_corpus=train_corpus, test_corpus=test_corpus, freq=freq, sched=sched,
         model=model, history=history, corrector=corrector, eval_seed=seeds["eval"],
     )
+
+
+def _fit_predictor(
+    cfg: ExperimentConfig, train_corpus: Corpus, freq: FrequencyTable
+) -> tuple[ScheduleConfig, PredictorModel, list[EpochStats]]:
+    """Schedule of ``cfg`` and the predictor trained under it."""
+    sched = ScheduleConfig(
+        n_steps=cfg.n_steps,
+        mode=MaskMode(cfg.mask_mode),
+        convention=Convention(cfg.convention),
+        mask_token_id=cfg.vocab_size,
+    )
+    model, history = train(
+        train_corpus,
+        freq,
+        sched,
+        TrainConfig(
+            lr=cfg.lr, epochs=cfg.epochs, batch=cfg.batch, rho=cfg.rho,
+            seed=derive_seeds(cfg.seed)["fit"], dim=cfg.embed_dim, radius=cfg.radius,
+        ),
+    )
+    return sched, model, history
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> MetricsReport:
@@ -437,9 +449,15 @@ def compare_masking_modes(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     summary_rows = []
     decile_rows = []
     for seed in cfg.seeds:
+        # corpora, frequency table and corrector do not depend on the mode,
+        # and each stage draws from its own sub-seed: only the predictor is
+        # trained again for the second mode
+        pipe = build_pipeline(replace(cfg, seed=int(seed), mask_mode="uniform"), force_corrector=True)
         for mode in ("uniform", "ctf"):
             cell_cfg = replace(cfg, seed=int(seed), mask_mode=mode)
-            pipe = build_pipeline(cell_cfg, force_corrector=True)
+            if mode != "uniform":
+                sched, model, history = _fit_predictor(cell_cfg, pipe.train_corpus, pipe.freq)
+                pipe = replace(pipe, sched=sched, model=model, history=history)
             for use_corr in (False, True):
                 report = evaluate(
                     pipe.model, pipe.test_corpus, pipe.freq, pipe.sched, cell_cfg,

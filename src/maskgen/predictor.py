@@ -160,8 +160,20 @@ def _window_features(model: PredictorModel, inputs: np.ndarray, ctx: Conditionin
     return feats
 
 
-def forward(model: PredictorModel, masked: np.ndarray, ctx: ConditioningContext) -> PredictionOutput:
-    """Per-position probability vectors over the vocabulary."""
+def forward(
+    model: PredictorModel,
+    masked: np.ndarray,
+    ctx: ConditioningContext,
+    positions: np.ndarray | None = None,
+) -> PredictionOutput:
+    """Per-position probability vectors over the vocabulary.
+
+    With ``positions`` only those rows are normalized and returned, in the
+    given order: ``probs`` is then (len(positions), V) and equals the
+    matching rows of the full output bit for bit. The logits are still
+    computed for the whole sequence, because a matrix product over fewer
+    rows may round differently.
+    """
     masked = np.asarray(masked, dtype=np.int64)
     if masked.shape[0] != ctx.seq_len:
         raise ValueError(f"sequence length {masked.shape[0]} != conditioning length {ctx.seq_len}")
@@ -169,6 +181,8 @@ def forward(model: PredictorModel, masked: np.ndarray, ctx: ConditioningContext)
         raise ValueError("input token id outside [0, vocab_size] (mask token is vocab_size)")
     feats = _window_features(model, masked, ctx)
     logits = feats @ model.out_w + model.out_b
+    if positions is not None:
+        logits = logits[positions]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     probs = np.exp(logp)

@@ -82,12 +82,17 @@ def scaled_clipped_probabilities(p_base: np.ndarray, expected_masked: float) -> 
     it otherwise. Rank order among unclipped entries is preserved.
     """
     p_base = np.asarray(p_base, dtype=np.float64)
+    return np.minimum(expected_masked / _p_base_total(p_base) * p_base, 1.0)
+
+
+def _p_base_total(p_base: np.ndarray) -> float:
+    """Sum of validated base probabilities."""
     if np.any(p_base <= 0.0) or np.any(p_base > 1.0):
         raise ValueError("p_base values must lie in (0, 1]")
     total = p_base.sum()
     if total <= 0.0:
         raise ValueError("sum of p_base must be positive")
-    return np.minimum(expected_masked / total * p_base, 1.0)
+    return total
 
 
 def ctf_probabilities(
@@ -105,6 +110,19 @@ def ctf_probabilities(
     p_base = np.asarray(p_base, dtype=np.float64)
     e_cos = expected_masked_cosine(i, n_steps, p_base.shape[0], convention)
     return scaled_clipped_probabilities(p_base, e_cos)
+
+
+def ctf_probability_table(
+    p_base: np.ndarray, n_steps: int, convention: Convention = Convention.COS
+) -> np.ndarray:
+    """(n_steps+1, T) table whose row i equals ``ctf_probabilities(p_base, i,
+    n_steps, convention)`` bit for bit: the same scalar division by the
+    p_base total, the same product and the same clip, for all steps at once.
+    """
+    p_base = np.asarray(p_base, dtype=np.float64)
+    t = p_base.shape[0]
+    expected = np.array([expected_masked_cosine(i, n_steps, t, convention) for i in range(n_steps + 1)])
+    return np.minimum((expected / _p_base_total(p_base))[:, None] * p_base, 1.0)
 
 
 def sample_mask(probs: np.ndarray, rng: np.random.Generator, step: int | None = None) -> MaskVector:

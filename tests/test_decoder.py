@@ -11,13 +11,29 @@ import numpy as np
 import pytest
 
 import maskgen.decoder as decoder_mod
+from maskgen.corrector import correct, init_corrector
 from maskgen.decoder import confidence, decode, plan_open_counts
+from maskgen.errors import NumericsError
 from maskgen.predictor import build_conditioning, forward, init_model
-from maskgen.schedule import Convention, MaskMode, ScheduleConfig, scaled_clipped_probabilities
+from maskgen.schedule import (
+    Convention,
+    MaskMode,
+    ScheduleConfig,
+    ctf_probabilities,
+    ctf_probability_table,
+    scaled_clipped_probabilities,
+)
 
 
-def oracle_decode(model, distorted, n_steps):
-    """Step-by-step greedy decode with scalar arithmetic only."""
+def oracle_decode(model, distorted, n_steps, initial=None, p_base=None, trace=None):
+    """Step-by-step greedy decode with scalar arithmetic only.
+
+    ``initial`` pre-commits every position that does not hold the mask
+    token; ``p_base`` switches to the coarse-to-fine plan and stay-open
+    score (COS convention). Every step runs a forward pass, whether or not
+    it commits. When ``trace`` is a list, one ``(open_count,
+    mean_confidence)`` pair per step is appended to it.
+    """
     emb = [[float(x) for x in row] for row in model.embedding]
     w = [[float(x) for x in row] for row in model.out_w]
     b = [float(x) for x in model.out_b]
@@ -45,14 +61,28 @@ def oracle_decode(model, distorted, n_steps):
         z = sum(exps)
         return [e / z for e in exps]
 
+    def expected(i):
+        return t_len * math.cos(0.5 * math.pi * i / n_steps) if i < n_steps else 0.0
+
+    def ctf(i):
+        total = sum(float(p) for p in p_base)
+        return [min(expected(i) / total * float(p), 1.0) for p in p_base]
+
     # plan: round half up, then repair to a strict decrease pinned at T and 0
-    raw = [math.floor(t_len * math.cos(0.5 * math.pi * i / n_steps) + 0.5) for i in range(n_steps + 1)]
+    if p_base is None:
+        raw = [math.floor(expected(i) + 0.5) for i in range(n_steps + 1)]
+    else:
+        raw = [math.floor(sum(ctf(i)) + 0.5) for i in range(n_steps + 1)]
     counts = [0] * (n_steps + 1)
     for i in range(n_steps - 1, 0, -1):
         counts[i] = max(counts[i + 1] + 1, min(raw[i], t_len - i))
     counts[0] = t_len
 
-    cur = [mask_id] * t_len
+    cur = [mask_id] * t_len if initial is None else [int(x) for x in initial]
+    open0 = sum(1 for x in cur if x == mask_id)
+    if open0 == 0:
+        return cur
+    counts = [min(c, open0) for c in counts]
     for i in range(n_steps):
         open_pos = [t for t in range(t_len) if cur[t] == mask_id]
         picks = []
@@ -63,9 +93,12 @@ def oracle_decode(model, distorted, n_steps):
                 if p[klass] > p[best]:
                     best = klass
             picks.append((t, best, p[best]))
+        if trace is not None:
+            trace.append((len(open_pos), sum(item[2] for item in picks) / len(picks)))
         n_commit = len(open_pos) - counts[i + 1]
-        picks.sort(key=lambda item: (1.0 - item[2], item[0]))
-        for t, tok, _ in picks[:n_commit]:
+        weight = [1.0] * t_len if p_base is None else ctf(i + 1)
+        picks.sort(key=lambda item: (weight[item[0]] * (1.0 - item[2]), item[0]))
+        for t, tok, _ in picks[:max(n_commit, 0)]:
             cur[t] = tok
     return cur
 
@@ -170,9 +203,9 @@ class TestDecode:
         seen = []
         real_forward = decoder_mod.forward
 
-        def recording_forward(model, masked, ctx):
+        def recording_forward(model, masked, ctx, positions=None):
             seen.append(np.asarray(masked).copy())
-            return real_forward(model, masked, ctx)
+            return real_forward(model, masked, ctx, positions)
 
         monkeypatch.setattr(decoder_mod, "forward", recording_forward)
         rng = np.random.default_rng(5)
@@ -226,9 +259,9 @@ class TestDecode:
         seen = []
         real_forward = decoder_mod.forward
 
-        def recording_forward(mdl, masked, c):
+        def recording_forward(mdl, masked, c, positions=None):
             seen.append(np.asarray(masked).copy())
-            return real_forward(mdl, masked, c)
+            return real_forward(mdl, masked, c, positions)
 
         monkeypatch.setattr(decoder_mod, "forward", recording_forward)
         sched = ScheduleConfig(n_steps=3, mode=MaskMode.CTF, mask_token_id=4)
@@ -236,6 +269,152 @@ class TestDecode:
         committed_second = np.flatnonzero(seen[1] != 4)
         open_second = np.flatnonzero(seen[1] == 4)
         assert p_base[committed_second].max() < p_base[open_second].min()
+
+
+class TestDecodeSkipsIdleSteps:
+    """Decodes from a partly committed ``initial`` clamp the plan, so some
+    steps commit nothing; greedy decoding skips their forward passes."""
+
+    @staticmethod
+    def clamped_case(seed, t_len=12, v=4):
+        """Every third case starts fully masked; every second one is CTF."""
+        rng = np.random.default_rng(2000 + seed)
+        model, distorted = make_case(rng, t_len=t_len, v=v)
+        initial = rng.integers(0, v, size=t_len)
+        initial[rng.choice(t_len, size=int(rng.integers(1, 4)), replace=False)] = v
+        p_base = rng.uniform(0.05, 1.0, size=t_len) if seed % 2 else None
+        return model, distorted, None if seed % 3 == 0 else initial, p_base
+
+    def test_oracle_equivalence_with_initial_and_ctf(self):
+        for seed in range(90):
+            model, distorted, initial, p_base = self.clamped_case(seed)
+            n = 3 + seed % 4
+            mode = MaskMode.CTF if p_base is not None else MaskMode.UNIFORM_COSINE
+            sched = ScheduleConfig(n_steps=n, mode=mode, mask_token_id=4)
+            out, trace = decode(model, build_conditioning(distorted, model), sched, p_base=p_base, initial=initial)
+            expected_trace = []
+            expected = oracle_decode(model, list(distorted), n, initial=initial, p_base=p_base, trace=expected_trace)
+            assert list(out) == expected, f"seed {seed}"
+            assert [row.step for row in trace] == list(range(n))
+            assert [row.open_count for row in trace] == [c for c, _ in expected_trace], f"seed {seed}"
+            for row, (_, conf) in zip(trace, expected_trace):
+                assert row.mean_confidence == pytest.approx(conf, rel=1e-12, abs=1e-15), f"seed {seed}"
+
+    def test_idle_steps_run_no_forward_pass(self, monkeypatch):
+        seen = []
+        real_forward = decoder_mod.forward
+
+        def recording_forward(model, masked, ctx, positions=None):
+            seen.append(np.asarray(masked).copy())
+            return real_forward(model, masked, ctx, positions)
+
+        monkeypatch.setattr(decoder_mod, "forward", recording_forward)
+        rng = np.random.default_rng(11)
+        model, distorted = make_case(rng, t_len=20, v=5, d=3, r=1)
+        initial = rng.integers(0, 5, size=20)
+        initial[[3, 11]] = 5
+        out, trace = decode(model, build_conditioning(distorted, model), ScheduleConfig(n_steps=12, mask_token_id=5),
+                            initial=initial)
+        assert len(trace) == 12
+        assert 1 <= len(seen) <= 2  # one pass per step that commits
+        for before, after in zip(seen, seen[1:]):
+            assert not np.array_equal(before, after)
+        # an idle row repeats the row of the pass that follows it
+        for row, nxt in zip(trace, trace[1:]):
+            if row.open_count == nxt.open_count:
+                assert row.mean_confidence == nxt.mean_confidence
+        assert (out != 5).all()
+
+    def test_sampling_keeps_every_pass(self, monkeypatch):
+        calls = []
+        real_forward = decoder_mod.forward
+
+        def counting_forward(model, masked, ctx, positions=None):
+            calls.append(1)
+            return real_forward(model, masked, ctx, positions)
+
+        monkeypatch.setattr(decoder_mod, "forward", counting_forward)
+        rng = np.random.default_rng(12)
+        model, distorted = make_case(rng, t_len=10, v=4, d=2, r=1)
+        initial = rng.integers(0, 4, size=10)
+        initial[[2, 7]] = 4
+        sched = ScheduleConfig(n_steps=6, mask_token_id=4)
+        _, trace = decode(model, build_conditioning(distorted, model), sched, selection="sample",
+                          rng=np.random.default_rng(0), initial=initial)
+        assert len(calls) == 6 and len(trace) == 6
+
+
+class TestExactnessPins:
+    def test_forward_positions_rows_equal_full_rows(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            model, distorted = make_case(rng, t_len=int(rng.integers(1, 40)), v=7, d=4, r=int(rng.integers(0, 3)))
+            t = distorted.shape[0]
+            masked = np.where(rng.random(t) < 0.5, 7, rng.integers(0, 7, size=t))
+            ctx = build_conditioning(distorted, model)
+            full = forward(model, masked, ctx).probs
+            positions = np.flatnonzero(rng.random(t) < 0.4)
+            part = forward(model, masked, ctx, positions=positions).probs
+            assert part.shape == (positions.shape[0], 7)
+            assert np.array_equal(part, full[positions])
+
+    @pytest.mark.parametrize("convention", [Convention.COS, Convention.SIN])
+    def test_ctf_table_rows_equal_ctf_probabilities(self, convention):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            t = int(rng.integers(1, 120))
+            n = int(rng.integers(1, 50))
+            p_base = rng.uniform(1e-3, 1.0, size=t)
+            table = ctf_probability_table(p_base, n, convention)
+            assert table.shape == (n + 1, t)
+            for i in range(n + 1):
+                assert np.array_equal(table[i], ctf_probabilities(p_base, i, n, convention))
+
+    @pytest.mark.parametrize("convention", [Convention.COS, Convention.SIN])
+    def test_ctf_plan_equals_plan_from_per_step_sums(self, convention):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            t = int(rng.integers(1, 200))
+            n = int(rng.integers(1, min(t, 60) + 1))
+            p_base = rng.uniform(1e-3, 1.0, size=t)
+            sched = ScheduleConfig(n_steps=n, mode=MaskMode.CTF, convention=convention, mask_token_id=t)
+            raw = [math.floor(float(ctf_probabilities(p_base, i, n, convention).sum()) + 0.5) for i in range(n + 1)]
+            expected = [0] * (n + 1)
+            for i in range(n - 1, 0, -1):
+                expected[i] = max(expected[i + 1] + 1, min(raw[i], t - i))
+            expected[0] = t
+            np.testing.assert_array_equal(plan_open_counts(sched, t, p_base), expected)
+
+    def test_ctf_table_rejects_bad_p_base(self):
+        with pytest.raises(ValueError):
+            ctf_probability_table(np.array([0.5, 0.0]), 3)
+
+
+class TestNonFinite:
+    def nan_case(self):
+        rng = np.random.default_rng(15)
+        model, distorted = make_case(rng, t_len=8, v=4, d=2, r=1)
+        model.out_w[0, 0] = np.nan
+        return model, build_conditioning(distorted, model)
+
+    def test_decode_raises(self):
+        model, ctx = self.nan_case()
+        with pytest.raises(NumericsError):
+            decode(model, ctx, ScheduleConfig(n_steps=3, mask_token_id=4))
+
+    def test_single_pass_refill_raises(self):
+        model, ctx = self.nan_case()
+        scorer = init_corrector(4, 2, 1, np.random.default_rng(0))
+        with pytest.raises(NumericsError):
+            correct(np.zeros(8, dtype=np.int64), model, ctx, scorer, threshold=0.0, rounds=1)
+
+    def test_nan_suspicion_raises(self):
+        rng = np.random.default_rng(16)
+        model, distorted = make_case(rng, t_len=8, v=4, d=2, r=1)
+        scorer = init_corrector(4, 2, 1, np.random.default_rng(0))
+        scorer.b = float("nan")
+        with pytest.raises(NumericsError):
+            correct(distorted, model, build_conditioning(distorted, model), scorer, threshold=0.5, rounds=1)
 
 
 class TestConfidence:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from maskgen.cli import main as cli_main
-from maskgen.corpus import load_corpus
+from maskgen.corpus import frequency_table, generate_corpus, load_corpus, save_corpus, save_frequency_csv
+from maskgen.corrector import init_corrector, save_corrector
 from maskgen.errors import ConfigError
 from maskgen.harness import (
     ExperimentConfig,
@@ -13,13 +14,14 @@ from maskgen.harness import (
     compare_masking_modes,
     config_hash,
     edit_distance,
+    evaluate,
     frequency_deciles,
     load_config,
     parse_config,
     run_experiment,
     serialize_config,
 )
-from maskgen.predictor import build_conditioning, forward, load_predictor
+from maskgen.predictor import build_conditioning, forward, init_model, load_predictor, save_predictor
 from dataclasses import replace
 
 
@@ -67,6 +69,14 @@ class TestConfig:
             ("seed = 1\nrho = 1.5\n", "rho"),
             ("seed = 1\nn_steps = 200\n", "n_steps"),
             ("seed = 1\ntheta = -0.1\n", "theta"),
+            ("seed = 1\nbatch = 0\n", "batch"),
+            ("seed = 1\nepochs = 0\n", "epochs"),
+            ("seed = 1\nnum_docs = 0\n", "num_docs"),
+            ("seed = 1\ntest_docs = -3\n", "test_docs"),
+            ("seed = 1\nseq_len = 0\nn_steps = 1\n", "seq_len"),
+            ("seed = 1\nembed_dim = 0\n", "embed_dim"),
+            ("seed = 1\nradius = -1\n", "radius"),
+            ("seed = 1\ncorrector_rounds = -1\n", "corrector_rounds"),
         ],
     )
     def test_validation_errors_carry_field(self, text, field):
@@ -203,6 +213,33 @@ class TestCompareModes:
         deciles = (tmp_path / "compare_modes_deciles.csv").read_text().splitlines()
         assert len(deciles) == 2 + 4 * 10
 
+    def test_setup_built_once_per_seed(self, tmp_path, monkeypatch):
+        import maskgen.harness as harness_mod
+
+        calls = {"generate_corpus": 0, "train_corrector": 0}
+
+        def counted(name):
+            real = getattr(harness_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness_mod, name, counted(name))
+        cfg = tiny_config(seeds=(5,))
+        results = compare_masking_modes(cfg, out_dir=str(tmp_path))
+        assert calls == {"generate_corpus": 2, "train_corrector": 1}
+        # the shared set-up gives the cells a pipeline built per mode gives
+        for mode in ("uniform", "ctf"):
+            cell_cfg = replace(cfg, seed=5, mask_mode=mode)
+            pipe = build_pipeline(cell_cfg, force_corrector=True)
+            report = evaluate(pipe.model, pipe.test_corpus, pipe.freq, pipe.sched, cell_cfg, pipe.eval_seed,
+                              pipe.corrector)
+            assert repr(results[(5, mode, True)]) == repr(report)
+
     def test_identity_corrector_never_changes_metrics(self, tmp_path):
         # theta=1 flags nothing, so corrector-on cells equal corrector-off
         results = compare_masking_modes(tiny_config(seeds=(5,), theta=1.0), out_dir=str(tmp_path))
@@ -288,3 +325,62 @@ class TestCli:
         assert lines[0].startswith("#")
         assert lines[1] == "step,expected_masked,convention"
         assert len(lines) == 7
+
+
+@pytest.fixture(scope="module")
+def decode_inputs(tmp_path_factory):
+    """Untrained 16-token checkpoints, a 16-token observation file of
+    length 20, and frequency tables of 16 and 32 tokens."""
+    d = tmp_path_factory.mktemp("decode_inputs")
+    rng = np.random.default_rng(0)
+    obs = generate_corpus(16, 4, 20, 1.2, 1, seed=1)
+    save_corpus(obs, d / "obs.txt")
+    save_frequency_csv(frequency_table(obs), d / "freq.csv")
+    save_frequency_csv(frequency_table(generate_corpus(32, 4, 20, 1.2, 1, seed=1)), d / "freq32.csv")
+    model = init_model(16, 4, 1, rng)
+    save_predictor(model, d / "model.bin")
+    model.out_w[0, 0] = np.nan
+    save_predictor(model, d / "nan.bin")
+    save_corrector(init_corrector(16, 4, 1, rng), d / "corr.bin")
+    whole = (d / "model.bin").read_bytes()
+    (d / "short.bin").write_bytes(whole[: len(whole) // 2])
+    (d / "header.bin").write_bytes(whole[:12])
+    return d
+
+
+DECODE_EXIT_CODES = {
+    "ok": ([], 0),
+    "n_steps_above_seq_len": (["--n-steps", "50"], 2),
+    "n_steps_zero": (["--n-steps", "0"], 2),
+    "missing_input": (["--input", "{d}/missing.txt"], 2),
+    "missing_model": (["--model", "{d}/missing.bin"], 2),
+    "missing_freq_csv": (["--mask-mode", "ctf", "--freq-csv", "{d}/missing.csv"], 2),
+    "missing_corrector": (["--corrector", "{d}/missing.bin"], 2),
+    "truncated_checkpoint": (["--model", "{d}/short.bin"], 2),
+    "truncated_header": (["--model", "{d}/header.bin"], 2),
+    "wrong_magic": (["--model", "{d}/corr.bin"], 2),
+    "freq_csv_vocab_mismatch": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq32.csv"], 2),
+    "negative_temperature": (["--temperature", "-1"], 2),
+    "negative_rounds": (["--corrector", "{d}/corr.bin", "--rounds", "-1"], 2),
+    "theta_above_one": (["--corrector", "{d}/corr.bin", "--theta", "1.5"], 2),
+    "nan_model": (["--model", "{d}/nan.bin"], 3),
+}
+
+
+@pytest.mark.parametrize("flags,code", list(DECODE_EXIT_CODES.values()), ids=list(DECODE_EXIT_CODES))
+def test_decode_exit_codes(decode_inputs, tmp_path, capsys, flags, code):
+    d = decode_inputs
+    argv = {"--model": f"{d}/model.bin", "--input": f"{d}/obs.txt", "--n-steps": "4"}
+    extra = []
+    for flag, value in zip(flags[::2], flags[1::2]):
+        if flag in argv:
+            argv[flag] = value.format(d=d)
+        else:
+            extra += [flag, value.format(d=d)]
+    args = [x for kv in argv.items() for x in kv] + extra
+    assert cli_main(["decode", "--out", str(tmp_path / "out.txt"), *args]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("config error"), err
+    elif code == 3:
+        assert len(err) == 1 and err[0].startswith("numeric failure"), err
