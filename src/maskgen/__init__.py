@@ -28,7 +28,7 @@ from .corrector import (
     detect_and_remask,
     train_corrector,
 )
-from .decoder import confidence, decode, plan_open_counts
+from .decoder import decode, plan_open_counts
 from .errors import ConfigError, NumericsError
 from .harness import (
     ExperimentConfig,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import struct
 import sys
 from dataclasses import replace
 
@@ -45,6 +44,8 @@ def _load_cfg(args) -> harness.ExperimentConfig:
 
 
 def _cmd_gen_corpus(args) -> int:
+    for key in ("vocab_size", "num_docs", "seq_len", "zipf_exponent"):
+        harness.check_value(key, getattr(args, key))
     corpus = corpuslib.generate_corpus(
         args.vocab_size, args.num_docs, args.seq_len, args.zipf_exponent, args.markov_order, args.seed
     )
@@ -77,17 +78,11 @@ def _cmd_train(args) -> int:
 def _cmd_train_corrector(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    seeds = harness.derive_seeds(cfg.seed)
     corpus = corpuslib.generate_corpus(
-        cfg.vocab_size, cfg.num_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order, seeds["train_corpus"]
+        cfg.vocab_size, cfg.num_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order,
+        harness.derive_seeds(cfg.seed)["train_corpus"],
     )
-    model, history = corrlib.train_corrector(
-        corpus,
-        corrlib.CorrectorTrainConfig(
-            lr=cfg.corrector_lr, epochs=cfg.corrector_epochs, seed=seeds["corrector"],
-            dim=cfg.corrector_dim, radius=cfg.corrector_radius,
-        ),
-    )
+    model, history = harness.fit_corrector(cfg, corpus)
     path = args.model_out or os.path.join(cfg.output_dir, "corrector.bin")
     corrlib.save_corrector(model, path)
     print(f"trained corrector -> {path} (loss/position {history[-1].loss_per_position:.4f})")
@@ -99,7 +94,7 @@ def _read(field: str, loader, path):
     config error naming the flag."""
     try:
         return loader(path)
-    except (OSError, ValueError, struct.error) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(field, f"cannot read {path}: {exc}") from None
 
 
@@ -189,6 +184,8 @@ def _cmd_compare_modes(args) -> int:
 
 
 def _cmd_dump_schedule(args) -> int:
+    for key in ("n_steps", "seq_len"):
+        harness.check_value(key, getattr(args, key))
     sched = ScheduleConfig(n_steps=args.n_steps, convention=Convention(args.convention))
     rows = dump_schedule_rows(sched, args.seq_len)
     with open(args.out, "w") as fh:
@@ -207,13 +204,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for key, parser_fn in harness._PARSERS.items():
         if key in ("seed", "output_dir"):
             continue
-        flag = "--" + key.replace("_", "-")
-        if parser_fn is harness._parse_bool:
-            p.add_argument(flag, dest=key, type=harness._parse_bool, default=None)
-        elif parser_fn is harness._parse_int_tuple:
-            p.add_argument(flag, dest=key, type=harness._parse_int_tuple, default=None)
-        else:
-            p.add_argument(flag, dest=key, type=parser_fn, default=None)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=parser_fn, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

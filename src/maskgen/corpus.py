@@ -162,20 +162,22 @@ def generate_corpus(
     return Corpus(tokens=tokens, vocab_size=vocab_size, seed=seed)
 
 
-def corrupt_sequence(
+def substitute(
     clean: np.ndarray,
     vocab_size: int,
     rate: float,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Substitute each position independently with probability ``rate``,
-    drawing the replacement uniformly from the other vocab_size-1 tokens.
-    Length is preserved; a substituted position never keeps its token."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The substitution channel: replace each position independently with
+    probability ``rate`` by one of the other vocab_size-1 tokens, drawn
+    uniformly. Returns the output and the bool mask of substituted
+    positions, which are exactly the positions that changed. Rate 0 draws
+    nothing from ``rng``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"substitution rate must be in [0,1], got {rate}")
     clean = np.asarray(clean, dtype=np.int64)
     if rate == 0.0:
-        return clean.copy()
+        return clean.copy(), np.zeros(clean.shape[0], dtype=bool)
     if vocab_size < 2:
         raise ValueError("cannot substitute tokens with vocab_size < 2")
     hit = rng.random(clean.shape[0]) < rate
@@ -183,7 +185,12 @@ def corrupt_sequence(
     offsets = rng.integers(1, vocab_size, size=clean.shape[0])
     out = clean.copy()
     out[hit] = (clean[hit] + offsets[hit]) % vocab_size
-    return out
+    return out, hit
+
+
+def corrupt_sequence(clean: np.ndarray, vocab_size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """A distorted observation of ``clean``: the output of :func:`substitute`."""
+    return substitute(clean, vocab_size, rate, rng)[0]
 
 
 def document_frequency(corpus: Corpus) -> FrequencyTable:

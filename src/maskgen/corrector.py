@@ -13,15 +13,22 @@ gradients.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, substitute
 from .decoder import decode
 from .errors import NumericsError
-from .predictor import ConditioningContext, PredictorModel, forward
+from .predictor import (
+    ConditioningContext,
+    PredictorModel,
+    forward,
+    read_checkpoint,
+    window,
+    window_adjoint,
+    write_checkpoint,
+)
 from .schedule import ScheduleConfig, apply_mask
 
 CORRECTOR_MAGIC = b"MGCORR\x00\x01"
@@ -93,25 +100,13 @@ def corrupt_for_training(
     """
     if not 0.0 < max_rate <= 1.0:
         raise ValueError(f"max_rate must be in (0, 1], got {max_rate}")
-    clean = np.asarray(clean, dtype=np.int64)
     u = float(rng.uniform(0.0, max_rate)) if rate is None else float(rate)
-    t = clean.shape[0]
-    if u == 0.0:
-        return clean.copy(), np.zeros(t, dtype=np.int8)
-    hit = rng.random(t) < u
-    offsets = rng.integers(1, vocab_size, size=t)
-    corrupted = clean.copy()
-    corrupted[hit] = (clean[hit] + offsets[hit]) % vocab_size
+    corrupted, hit = substitute(clean, vocab_size, u, rng)
     return corrupted, hit.astype(np.int8)
 
 
 def _features(model: CorrectorModel, tokens: np.ndarray) -> np.ndarray:
-    r, d = model.radius, model.dim
-    u = model.embedding[tokens]
-    t = u.shape[0]
-    padded = np.zeros((t + 2 * r, d))
-    padded[r : r + t] = u
-    return np.concatenate([padded[c : c + t] for c in range(2 * r + 1)], axis=1)
+    return window(model.embedding[tokens], model.radius)
 
 
 def suspicion_scores(model: CorrectorModel, tokens: np.ndarray) -> np.ndarray:
@@ -138,15 +133,7 @@ def bce_loss_and_grads(
     g_w = feats.T @ dlogits
     g_b = float(dlogits.sum())
 
-    r, d = model.radius, model.dim
-    t = tokens.shape[0]
-    dfeats = np.outer(dlogits, model.w).reshape(t, 2 * r + 1, d)
-    du = np.zeros((t, d))
-    for c in range(2 * r + 1):
-        k = c - r
-        t_lo, t_hi = max(0, -k), min(t, t - k)
-        if t_lo < t_hi:
-            du[t_lo + k : t_hi + k] += dfeats[t_lo:t_hi, c]
+    du = window_adjoint(np.outer(dlogits, model.w), model.radius, model.dim)
     g_e = np.zeros_like(model.embedding)
     np.add.at(g_e, tokens, du)
     return loss, g_e, g_w, g_b
@@ -241,44 +228,18 @@ def correct(
     return current
 
 
-def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC (tie-aware Mann-Whitney)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both positive and negative examples")
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    cum = np.cumsum(counts)
-    mean_rank = (cum - counts + 1 + cum) / 2.0
-    ranks = mean_rank[inverse]
-    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
 # ---------------------------------------------------------------------------
-# Checkpoints: same layout family as the predictor, distinct magic.
+# Checkpoints: the predictor's format with its own magic; the bias is a
+# one-element block.
 
 
 def save_corrector(model: CorrectorModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CORRECTOR_MAGIC)
-        fh.write(struct.pack("<4I", model.version, model.vocab_size, model.dim, model.radius))
-        fh.write(model.embedding.astype("<f8").tobytes())
-        fh.write(model.w.astype("<f8").tobytes())
-        fh.write(struct.pack("<d", model.b))
+    header = (model.version, model.vocab_size, model.dim, model.radius)
+    write_checkpoint(path, CORRECTOR_MAGIC, header, [model.embedding, model.w, np.array([model.b])])
 
 
 def load_corrector(path) -> CorrectorModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CORRECTOR_MAGIC))
-        if magic != CORRECTOR_MAGIC:
-            raise ValueError(f"not a corrector checkpoint (magic {magic!r})")
-        version, v, d, r = struct.unpack("<4I", fh.read(16))
-        if version != CORRECTOR_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        feat = d * (2 * r + 1)
-        embedding = np.frombuffer(fh.read(8 * (v * d)), dtype="<f8").reshape(v, d).astype(np.float64)
-        w = np.frombuffer(fh.read(8 * feat), dtype="<f8").astype(np.float64)
-        (b,) = struct.unpack("<d", fh.read(8))
-        return CorrectorModel(embedding=embedding, w=w, b=b, radius=r, version=version)
+    (v, d, r), (embedding, w, b) = read_checkpoint(
+        path, CORRECTOR_MAGIC, "corrector", lambda v, d, r: [(v, d), (d * (2 * r + 1),), (1,)]
+    )
+    return CorrectorModel(embedding=embedding, w=w, b=float(b[0]), radius=r, version=CORRECTOR_VERSION)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .predictor import ConditioningContext, PredictionOutput, PredictorModel, forward
+from .predictor import ConditioningContext, PredictorModel, forward
 from .schedule import MaskMode, ScheduleConfig, ctf_probability_table, expected_masked_cosine
 
 
@@ -64,18 +64,6 @@ def plan_open_counts(
         counts[i] = max(counts[i + 1] + 1, min(raw[i], seq_len - i))
     counts[0] = seq_len
     return np.array(counts, dtype=np.int64)
-
-
-def confidence(pred: PredictionOutput, position: int) -> float:
-    """Probability of the chosen (argmax) token at an open position.
-
-    Ties go to the lower token id via argmax's first-hit rule.
-    """
-    cache = pred._cache
-    if cache.masked[position] != cache.model.mask_token_id:
-        raise ValueError(f"position {position} is not open (not masked)")
-    row = pred.probs[position]
-    return float(row[int(np.argmax(row))])
 
 
 def _choose(

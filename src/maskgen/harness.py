@@ -12,6 +12,7 @@ line for exact reproduction.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
@@ -19,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import corpus as corpuslib
-from .corrector import CorrectorModel, CorrectorTrainConfig, correct, train_corrector
+from .corrector import CorrectorEpochStats, CorrectorModel, CorrectorTrainConfig, correct, train_corrector
 from .corpus import Corpus, FrequencyTable, corrupt_sequence, frequency_table, generate_corpus, sequence_base_probabilities
 from .decoder import StepTrace, decode
 from .errors import ConfigError
@@ -76,34 +77,15 @@ def _parse_int_tuple(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(",") if x.strip())
 
 
-_PARSERS = {
-    "seed": int,
-    "vocab_size": int,
-    "num_docs": int,
-    "test_docs": int,
-    "seq_len": int,
-    "zipf_exponent": float,
-    "markov_order": int,
-    "n_steps": int,
-    "mask_mode": str,
-    "convention": str,
-    "embed_dim": int,
-    "radius": int,
-    "lr": float,
-    "epochs": int,
-    "batch": int,
-    "rho": float,
-    "use_corrector": _parse_bool,
-    "corrector_dim": int,
-    "corrector_radius": int,
-    "corrector_lr": float,
-    "corrector_epochs": int,
-    "corrector_rounds": int,
-    "theta": float,
-    "ablate_steps": _parse_int_tuple,
-    "seeds": _parse_int_tuple,
-    "output_dir": str,
+# one parser per annotated field type; the config keys are the fields
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_tuple,
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -136,23 +118,33 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
+# per-key value rules; n_steps <= seq_len is checked across keys
+_CHOICES = {"mask_mode": ("uniform", "ctf"), "convention": ("cos", "sin"), "markov_order": (0, 1)}
+_AT_LEAST = {
+    "vocab_size": 2, "num_docs": 1, "test_docs": 1, "seq_len": 1, "n_steps": 1, "embed_dim": 1,
+    "epochs": 1, "batch": 1, "corrector_dim": 1, "corrector_epochs": 1,
+    "zipf_exponent": 0, "radius": 0, "corrector_radius": 0, "corrector_rounds": 0,
+}
+_UNIT_INTERVAL = ("rho", "theta")
+_POSITIVE_FINITE = ("lr", "corrector_lr")
+
+
+def check_value(key: str, value) -> None:
+    """Raise ``ConfigError`` naming ``key`` when ``value`` breaks its rule."""
+    if key in _CHOICES and value not in _CHOICES[key]:
+        allowed = " or ".join(repr(c) for c in _CHOICES[key])
+        raise ConfigError(key, f"must be {allowed}, got {value!r}")
+    if key in _AT_LEAST and not value >= _AT_LEAST[key]:
+        raise ConfigError(key, f"must be >= {_AT_LEAST[key]}, got {value}")
+    if key in _UNIT_INTERVAL and not 0.0 <= value <= 1.0:
+        raise ConfigError(key, f"must be in [0,1], got {value}")
+    if key in _POSITIVE_FINITE and not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(key, f"must be finite and > 0, got {value}")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.mask_mode not in ("uniform", "ctf"):
-        raise ConfigError("mask_mode", f"must be 'uniform' or 'ctf', got {cfg.mask_mode!r}")
-    if cfg.convention not in ("cos", "sin"):
-        raise ConfigError("convention", f"must be 'cos' or 'sin', got {cfg.convention!r}")
-    if cfg.vocab_size < 2:
-        raise ConfigError("vocab_size", f"must be >= 2, got {cfg.vocab_size}")
-    if not 0.0 <= cfg.rho <= 1.0:
-        raise ConfigError("rho", f"must be in [0,1], got {cfg.rho}")
-    if not 0.0 <= cfg.theta <= 1.0:
-        raise ConfigError("theta", f"must be in [0,1], got {cfg.theta}")
-    for name in ("batch", "epochs", "num_docs", "test_docs", "seq_len", "embed_dim", "n_steps"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(name, f"must be >= 1, got {getattr(cfg, name)}")
-    for name in ("radius", "corrector_rounds"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(name, f"must be >= 0, got {getattr(cfg, name)}")
+    for f in fields(cfg):
+        check_value(f.name, getattr(cfg, f.name))
     if cfg.n_steps > cfg.seq_len:
         raise ConfigError("n_steps", f"must not exceed seq_len ({cfg.seq_len}), got {cfg.n_steps}")
 
@@ -231,14 +223,6 @@ def edit_distance(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[-1])
 
 
-@dataclass
-class _EvalAccumulator:
-    hits: int = 0
-    total: int = 0
-    exact: int = 0
-    edit_sum: int = 0
-
-
 def evaluate(
     model: PredictorModel,
     test_corpus: Corpus,
@@ -254,7 +238,7 @@ def evaluate(
     results do not depend on evaluation order or worker count.
     """
     deciles = frequency_deciles(freq)
-    acc = _EvalAccumulator()
+    hits = total = exact = edit_sum = 0
     dec_hits = np.zeros(10, dtype=np.int64)
     dec_total = np.zeros(10, dtype=np.int64)
     traces: list[list[StepTrace]] = []
@@ -275,10 +259,10 @@ def evaluate(
         traces.append(trace)
 
         hit = decoded == clean
-        acc.hits += int(hit.sum())
-        acc.total += clean.shape[0]
-        acc.exact += int(hit.all())
-        acc.edit_sum += edit_distance(decoded, clean)
+        hits += int(hit.sum())
+        total += clean.shape[0]
+        exact += int(hit.all())
+        edit_sum += edit_distance(decoded, clean)
         np.add.at(dec_hits, deciles[clean], hit.astype(np.int64))
         np.add.at(dec_total, deciles[clean], 1)
 
@@ -293,9 +277,9 @@ def evaluate(
     ]
     decile_acc = [float(dec_hits[d] / dec_total[d]) if dec_total[d] else float("nan") for d in range(10)]
     return MetricsReport(
-        overall_accuracy=acc.hits / acc.total,
-        exact_match=acc.exact / n,
-        mean_edit_distance=acc.edit_sum / n,
+        overall_accuracy=hits / total,
+        exact_match=exact / n,
+        mean_edit_distance=edit_sum / n,
         decile_accuracy=decile_acc,
         decile_counts=[int(c) for c in dec_total],
         step_trace=mean_trace,
@@ -338,15 +322,7 @@ def build_pipeline(cfg: ExperimentConfig, force_corrector: bool | None = None) -
     freq = frequency_table(train_corpus)
     sched, model, history = _fit_predictor(cfg, train_corpus, freq)
     use_corr = cfg.use_corrector if force_corrector is None else force_corrector
-    corrector = None
-    if use_corr:
-        corrector, _ = train_corrector(
-            train_corpus,
-            CorrectorTrainConfig(
-                lr=cfg.corrector_lr, epochs=cfg.corrector_epochs, seed=seeds["corrector"],
-                dim=cfg.corrector_dim, radius=cfg.corrector_radius,
-            ),
-        )
+    corrector = fit_corrector(cfg, train_corpus)[0] if use_corr else None
     return TrainedPipeline(
         train_corpus=train_corpus, test_corpus=test_corpus, freq=freq, sched=sched,
         model=model, history=history, corrector=corrector, eval_seed=seeds["eval"],
@@ -373,6 +349,17 @@ def _fit_predictor(
         ),
     )
     return sched, model, history
+
+
+def fit_corrector(cfg: ExperimentConfig, train_corpus: Corpus) -> tuple[CorrectorModel, list[CorrectorEpochStats]]:
+    """The corrector of ``cfg`` trained on ``train_corpus``."""
+    return train_corrector(
+        train_corpus,
+        CorrectorTrainConfig(
+            lr=cfg.corrector_lr, epochs=cfg.corrector_epochs, seed=derive_seeds(cfg.seed)["corrector"],
+            dim=cfg.corrector_dim, radius=cfg.corrector_radius,
+        ),
+    )
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> MetricsReport:

@@ -19,6 +19,7 @@ unmasked positions contribute exactly zero gradient.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -27,9 +28,7 @@ import numpy as np
 from .corpus import Corpus, FrequencyTable, corrupt_sequence, sequence_base_probabilities
 from .errors import NumericsError
 from .schedule import (
-    Convention,
     MaskMode,
-    MaskVector,
     ScheduleConfig,
     apply_mask,
     cosine_probability,
@@ -87,7 +86,6 @@ class ConditioningContext:
 @dataclass
 class PredictionOutput:
     probs: np.ndarray  # (T, V), rows sum to 1
-    confidences: np.ndarray  # (T,), max probability per position
     _cache: "_ForwardCache" = field(repr=False)
 
 
@@ -147,15 +145,36 @@ def build_conditioning(distorted: np.ndarray, model: PredictorModel) -> Conditio
     return ConditioningContext(cond=cond, global_embed=cond.mean(axis=0), source_tokens=distorted)
 
 
+def window(u: np.ndarray, r: int) -> np.ndarray:
+    """(T, D*(2r+1)) windowed concatenation of the (T, D) rows of ``u``:
+    block c of row t is row t + c - r, zero outside the sequence. The
+    predictor and the corrector build their features with it."""
+    t, d = u.shape
+    padded = np.zeros((t + 2 * r, d))
+    padded[r : r + t] = u
+    return np.concatenate([padded[c : c + t] for c in range(2 * r + 1)], axis=1)
+
+
+def window_adjoint(dfeats: np.ndarray, r: int, d: int) -> np.ndarray:
+    """(T, D) gradient wrt ``u`` of a loss whose gradient wrt
+    ``window(u, r)`` is ``dfeats``: position j collects the block of every
+    window it appears in."""
+    t = dfeats.shape[0]
+    blocks = dfeats.reshape(t, 2 * r + 1, d)
+    du = np.zeros((t, d))
+    for c in range(2 * r + 1):
+        k = c - r  # block c of window t covers position t + k
+        t_lo, t_hi = max(0, -k), min(t, t - k)
+        if t_lo < t_hi:
+            du[t_lo + k : t_hi + k] += blocks[t_lo:t_hi, c]
+    return du
+
+
 def _window_features(model: PredictorModel, inputs: np.ndarray, ctx: ConditioningContext) -> np.ndarray:
     """(T, F) features: windowed concatenation of per-position vectors with
     the global vector added to the center block."""
     r, d = model.radius, model.dim
-    u = model.embedding[inputs] + ctx.cond
-    t = u.shape[0]
-    padded = np.zeros((t + 2 * r, d))
-    padded[r : r + t] = u
-    feats = np.concatenate([padded[c : c + t] for c in range(2 * r + 1)], axis=1)
+    feats = window(model.embedding[inputs] + ctx.cond, r)
     feats[:, r * d : (r + 1) * d] += ctx.global_embed
     return feats
 
@@ -186,11 +205,7 @@ def forward(
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     probs = np.exp(logp)
-    return PredictionOutput(
-        probs=probs,
-        confidences=probs.max(axis=1),
-        _cache=_ForwardCache(model=model, masked=masked, features=feats, ctx=ctx),
-    )
+    return PredictionOutput(probs=probs, _cache=_ForwardCache(model=model, masked=masked, features=feats, ctx=ctx))
 
 
 def masked_ce_loss(
@@ -221,15 +236,8 @@ def masked_ce_loss(
     g_b = dlogits.sum(axis=0)
 
     dfeats = dlogits @ model.out_w.T
-    blocks = dfeats.reshape(t, 2 * r + 1, d)
-    # position j collects the block of every window it participates in
-    du = np.zeros((t, d))
-    for c in range(2 * r + 1):
-        k = c - r  # block c of window t covers position t + k
-        t_lo, t_hi = max(0, -k), min(t, t - k)
-        if t_lo < t_hi:
-            du[t_lo + k : t_hi + k] += blocks[t_lo:t_hi, c]
-    dg = blocks[:, r, :].sum(axis=0)  # center block also feeds the global vector
+    du = window_adjoint(dfeats, r, d)
+    dg = dfeats[:, r * d : (r + 1) * d].sum(axis=0)  # center block also feeds the global vector
     dcond = du + dg / t  # global vector is the mean of the cond rows
 
     g_e = np.zeros_like(model.embedding)
@@ -308,7 +316,7 @@ def train(
                     probs = ctf_probabilities(p_base, step, sched.n_steps, sched.convention)
                 else:
                     probs = np.full(t, cosine_probability(step, sched.n_steps))
-                mv = sample_mask(probs, rng, step=step)
+                mv = sample_mask(probs, rng)
                 masked = apply_mask(clean, mv.m, sched.mask_token_id)
                 pred = forward(model, masked, ctx)
                 loss, grads = masked_ce_loss(pred, clean, mv.m)
@@ -349,38 +357,54 @@ def write_learning_curve(history: list[EpochStats], path, comment: str | None = 
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic, then <u4 version, V, D, r, then the parameter
-# blocks as little-endian float64 in order embedding, out_w, out_b
-# (row-major).
+# Checkpoint format, shared by predictor and corrector: 8 magic bytes, then
+# <u4 version, V, D, r, then the parameter blocks as little-endian float64
+# (row-major) in a fixed order per model kind. The file ends exactly after
+# the last block.
+
+
+def write_checkpoint(path, magic: bytes, header: tuple[int, int, int, int], blocks: list[np.ndarray]) -> None:
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<4I", *header))
+        for block in blocks:
+            fh.write(np.asarray(block).astype("<f8").tobytes())
+
+
+def read_checkpoint(path, magic: bytes, kind: str, shapes) -> tuple[tuple[int, int, int], list[np.ndarray]]:
+    """``(V, D, r)`` and the parameter blocks, whose shapes ``shapes(V, D, r)``
+    gives. Raises ``ValueError`` on a wrong magic, an unsupported version or
+    a file whose length is not exactly what its header implies."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[: len(magic)] != magic:
+        raise ValueError(f"not a {kind} checkpoint (magic {data[: len(magic)]!r})")
+    head = len(magic) + 16
+    if len(data) < head:
+        raise ValueError(f"{kind} checkpoint header truncated: {len(data)} bytes")
+    version, v, d, r = struct.unpack_from("<4I", data, len(magic))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    block_shapes = shapes(v, d, r)
+    sizes = [math.prod(shape) for shape in block_shapes]
+    if len(data) != head + 8 * sum(sizes):
+        raise ValueError(
+            f"{kind} checkpoint has {len(data)} bytes, expected {head + 8 * sum(sizes)} for V={v} D={d} r={r}"
+        )
+    blocks, offset = [], head
+    for shape, n in zip(block_shapes, sizes):
+        blocks.append(np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape).astype(np.float64))
+        offset += 8 * n
+    return (v, d, r), blocks
 
 
 def save_predictor(model: PredictorModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<4I", model.version, model.vocab_size, model.dim, model.radius))
-        fh.write(model.embedding.astype("<f8").tobytes())
-        fh.write(model.out_w.astype("<f8").tobytes())
-        fh.write(model.out_b.astype("<f8").tobytes())
+    header = (model.version, model.vocab_size, model.dim, model.radius)
+    write_checkpoint(path, CHECKPOINT_MAGIC, header, [model.embedding, model.out_w, model.out_b])
 
 
 def load_predictor(path) -> PredictorModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a predictor checkpoint (magic {magic!r})")
-        version, v, d, r = struct.unpack("<4I", fh.read(16))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        feat = d * (2 * r + 1)
-
-        def block(shape):
-            n = int(np.prod(shape))
-            return np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
-
-        return PredictorModel(
-            embedding=block((v + 1, d)),
-            out_w=block((feat, v)),
-            out_b=block((v,)),
-            radius=r,
-            version=version,
-        )
+    (v, d, r), (embedding, out_w, out_b) = read_checkpoint(
+        path, CHECKPOINT_MAGIC, "predictor", lambda v, d, r: [(v + 1, d), (d * (2 * r + 1), v), (v,)]
+    )
+    return PredictorModel(embedding=embedding, out_w=out_w, out_b=out_b, radius=r, version=CHECKPOINT_VERSION)

@@ -43,11 +43,9 @@ class ScheduleConfig:
 
 @dataclass
 class MaskVector:
-    """Sampled binary mask together with the probabilities it came from."""
+    """Sampled binary mask."""
 
     m: np.ndarray  # (T,) int8 in {0,1}
-    probs: np.ndarray  # (T,) float64 in [0,1]
-    step: int | None = None  # schedule step the probabilities belong to
 
 
 def cosine_probability(i: int, n_steps: int) -> float:
@@ -125,13 +123,12 @@ def ctf_probability_table(
     return np.minimum((expected / _p_base_total(p_base))[:, None] * p_base, 1.0)
 
 
-def sample_mask(probs: np.ndarray, rng: np.random.Generator, step: int | None = None) -> MaskVector:
+def sample_mask(probs: np.ndarray, rng: np.random.Generator) -> MaskVector:
     """Independent Bernoulli draw per position."""
     probs = np.asarray(probs, dtype=np.float64)
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError("mask probabilities must lie in [0, 1]")
-    m = (rng.random(probs.shape[0]) < probs).astype(np.int8)
-    return MaskVector(m=m, probs=probs.copy(), step=step)
+    return MaskVector(m=(rng.random(probs.shape[0]) < probs).astype(np.int8))
 
 
 def apply_mask(tokens: np.ndarray, m: np.ndarray, mask_token_id: int) -> np.ndarray:

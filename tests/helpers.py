@@ -1,4 +1,5 @@
-"""Shared test utilities: parameter flattening and finite differences."""
+"""Shared test utilities: parameter flattening, finite differences and
+rank-based AUC."""
 
 import numpy as np
 
@@ -43,3 +44,18 @@ def central_differences(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
         down = fn(bumped)
         grad[k] = (up - down) / (2 * h)
     return grad
+
+
+def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Rank-based AUC (tie-aware Mann-Whitney)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both positive and negative examples")
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    cum = np.cumsum(counts)
+    mean_rank = (cum - counts + 1 + cum) / 2.0
+    ranks = mean_rank[inverse]
+    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

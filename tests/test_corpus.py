@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskgen.corpus import (
     Corpus,
@@ -20,8 +22,10 @@ from maskgen.corpus import (
     save_frequency_csv,
     sequence_base_probabilities,
     standardized_sigmoid,
+    substitute,
     zipf_weights,
 )
+from maskgen.corrector import corrupt_for_training
 
 # Chi-square critical value, dof=63, alpha=0.001.
 CHI2_63_999 = 103.442377
@@ -135,6 +139,29 @@ class TestCorruptSequence:
     def test_single_token_vocab_rejected(self):
         with pytest.raises(ValueError):
             corrupt_sequence(np.array([0, 0]), 1, 0.5, np.random.default_rng(0))
+
+
+class TestSubstitute:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        vocab_size=st.integers(2, 9),
+        seq_len=st.integers(0, 40),
+        rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hit_marks_exactly_the_changed_positions(self, vocab_size, seq_len, rate, seed):
+        clean = np.random.default_rng(seed).integers(0, vocab_size, size=seq_len)
+        out, hit = substitute(clean, vocab_size, rate, np.random.default_rng(seed))
+        assert hit.dtype == bool and out.shape == clean.shape
+        np.testing.assert_array_equal(hit, out != clean)  # a substituted token never survives
+        assert out.min(initial=0) >= 0 and out.max(initial=0) < vocab_size
+        if rate == 1.0:
+            assert hit.all()
+        # both channels are this one: same draws, same output
+        np.testing.assert_array_equal(corrupt_sequence(clean, vocab_size, rate, np.random.default_rng(seed)), out)
+        pinned, labels = corrupt_for_training(clean, vocab_size, 1.0, np.random.default_rng(seed), rate=rate)
+        np.testing.assert_array_equal(pinned, out)
+        np.testing.assert_array_equal(labels, hit.astype(np.int8))
 
 
 class TestDocumentFrequency:

@@ -1,14 +1,21 @@
 """Corruption-trained suspicion scorer and the re-mask/refill loop."""
 
 import math
+import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
-from helpers import central_differences, corrector_params, set_corrector_params
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from helpers import central_differences, corrector_params, roc_auc, set_corrector_params
 
 import maskgen.corrector as corrector_mod
 from maskgen.corpus import generate_corpus
 from maskgen.corrector import (
+    CorrectorModel,
     CorrectorTrainConfig,
     bce_loss_and_grads,
     correct,
@@ -16,7 +23,6 @@ from maskgen.corrector import (
     detect_and_remask,
     init_corrector,
     load_corrector,
-    roc_auc,
     save_corrector,
     suspicion_scores,
     train_corrector,
@@ -286,4 +292,37 @@ class TestCheckpoint:
         path = tmp_path / "pred.bin"
         save_predictor(init_pred(4, 2, 1, np.random.default_rng(26)), path)
         with pytest.raises(ValueError):
+            load_corrector(path)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(v=st.integers(1, 6), d=st.integers(1, 4), r=st.integers(0, 2), data=st.data())
+    def test_round_trip_bit_exact(self, v, d, r, data):
+        floats = st.floats(width=64)
+        model = CorrectorModel(
+            embedding=data.draw(arrays(np.float64, (v, d), elements=floats)),
+            w=data.draw(arrays(np.float64, (d * (2 * r + 1),), elements=floats)),
+            b=data.draw(floats),
+            radius=r,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corrector.bin")
+            save_corrector(model, path)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            loaded = load_corrector(path)
+        assert len(raw) == 8 + 16 + 8 * (model.embedding.size + model.w.size + 1)
+        assert raw[-8:] == struct.pack("<d", model.b)  # the bias block is one packed double
+        assert loaded.embedding.tobytes() == model.embedding.tobytes()
+        assert loaded.w.tobytes() == model.w.tobytes()
+        assert struct.pack("<d", loaded.b) == struct.pack("<d", model.b)
+        assert (loaded.vocab_size, loaded.dim, loaded.radius) == (v, d, r)
+
+    @pytest.mark.parametrize("cut", [1, 8, 24, -1, -14])
+    def test_wrong_length_rejected(self, tmp_path, cut):
+        # positive cut drops that many trailing bytes; negative appends them
+        path = tmp_path / "corrector.bin"
+        save_corrector(init_corrector(5, 3, 1, np.random.default_rng(27)), path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-cut] if cut > 0 else whole + b"\x7f" * -cut)
+        with pytest.raises(ValueError, match="bytes"):
             load_corrector(path)

@@ -12,7 +12,7 @@ import pytest
 
 import maskgen.decoder as decoder_mod
 from maskgen.corrector import correct, init_corrector
-from maskgen.decoder import confidence, decode, plan_open_counts
+from maskgen.decoder import decode, plan_open_counts
 from maskgen.errors import NumericsError
 from maskgen.predictor import build_conditioning, forward, init_model
 from maskgen.schedule import (
@@ -418,6 +418,9 @@ class TestNonFinite:
 
 
 class TestConfidence:
+    """The confidence of an open position is the probability of its argmax
+    token in the forward pass."""
+
     def test_uniform_prediction(self):
         model = init_model(4, 2, 0, np.random.default_rng(0))
         model.embedding[:] = 0.0
@@ -425,7 +428,7 @@ class TestConfidence:
         model.out_b[:] = 0.0
         ctx = build_conditioning(np.array([0, 1]), model)
         pred = forward(model, np.array([4, 4]), ctx)
-        assert confidence(pred, 0) == pytest.approx(0.25, abs=1e-15)
+        assert pred.probs[0].max() == pytest.approx(0.25, abs=1e-15)
 
     def test_one_hot_prediction(self):
         model = init_model(3, 2, 0, np.random.default_rng(1))
@@ -434,7 +437,7 @@ class TestConfidence:
         model.out_b[:] = np.array([1000.0, 0.0, 0.0])
         ctx = build_conditioning(np.array([0]), model)
         pred = forward(model, np.array([3]), ctx)
-        assert confidence(pred, 0) == 1.0
+        assert pred.probs[0].max() == 1.0
 
     def test_tie_breaks_to_lower_token_id(self):
         model = init_model(2, 2, 0, np.random.default_rng(2))
@@ -443,13 +446,5 @@ class TestConfidence:
         model.out_b[:] = 0.0
         ctx = build_conditioning(np.array([0]), model)
         pred = forward(model, np.array([2]), ctx)
-        assert confidence(pred, 0) == pytest.approx(0.5, abs=1e-15)
+        assert pred.probs[0].max() == pytest.approx(0.5, abs=1e-15)
         assert pred.probs[0].argmax() == 0
-
-    def test_closed_position_rejected(self):
-        model = init_model(3, 2, 0, np.random.default_rng(3))
-        ctx = build_conditioning(np.array([0, 1]), model)
-        pred = forward(model, np.array([3, 1]), ctx)
-        confidence(pred, 0)
-        with pytest.raises(ValueError):
-            confidence(pred, 1)

@@ -77,6 +77,16 @@ class TestConfig:
             ("seed = 1\nembed_dim = 0\n", "embed_dim"),
             ("seed = 1\nradius = -1\n", "radius"),
             ("seed = 1\ncorrector_rounds = -1\n", "corrector_rounds"),
+            ("seed = 1\nzipf_exponent = -1\n", "zipf_exponent"),
+            ("seed = 1\nzipf_exponent = nan\n", "zipf_exponent"),
+            ("seed = 1\nmarkov_order = 2\n", "markov_order"),
+            ("seed = 1\ncorrector_radius = -1\n", "corrector_radius"),
+            ("seed = 1\ncorrector_dim = 0\n", "corrector_dim"),
+            ("seed = 1\ncorrector_epochs = 0\n", "corrector_epochs"),
+            ("seed = 1\nlr = -5\n", "lr"),
+            ("seed = 1\nlr = 0\n", "lr"),
+            ("seed = 1\nlr = nan\n", "lr"),
+            ("seed = 1\ncorrector_lr = inf\n", "corrector_lr"),
         ],
     )
     def test_validation_errors_carry_field(self, text, field):
@@ -345,6 +355,8 @@ def decode_inputs(tmp_path_factory):
     whole = (d / "model.bin").read_bytes()
     (d / "short.bin").write_bytes(whole[: len(whole) // 2])
     (d / "header.bin").write_bytes(whole[:12])
+    (d / "long.bin").write_bytes(whole + b"\x00" * 14)
+    (d / "corr_long.bin").write_bytes((d / "corr.bin").read_bytes() + b"\x00" * 8)
     return d
 
 
@@ -358,6 +370,8 @@ DECODE_EXIT_CODES = {
     "missing_corrector": (["--corrector", "{d}/missing.bin"], 2),
     "truncated_checkpoint": (["--model", "{d}/short.bin"], 2),
     "truncated_header": (["--model", "{d}/header.bin"], 2),
+    "trailing_bytes": (["--model", "{d}/long.bin"], 2),
+    "corrector_trailing_bytes": (["--corrector", "{d}/corr_long.bin"], 2),
     "wrong_magic": (["--model", "{d}/corr.bin"], 2),
     "freq_csv_vocab_mismatch": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq32.csv"], 2),
     "negative_temperature": (["--temperature", "-1"], 2),
@@ -384,3 +398,34 @@ def test_decode_exit_codes(decode_inputs, tmp_path, capsys, flags, code):
         assert len(err) == 1 and err[0].startswith("config error"), err
     elif code == 3:
         assert len(err) == 1 and err[0].startswith("numeric failure"), err
+
+
+CONFIG_VALUE_EXIT_CODES = {
+    "zipf_exponent": ["eval", "--seed", "1", "--zipf-exponent", "-1"],
+    "markov_order": ["eval", "--seed", "1", "--markov-order", "2"],
+    "corrector_radius": ["eval", "--seed", "1", "--corrector-radius", "-1", "--use-corrector", "true"],
+    "corrector_dim": ["eval", "--seed", "1", "--corrector-dim", "0"],
+    "corrector_epochs": ["train-corrector", "--seed", "1", "--corrector-epochs", "-1"],
+    "lr": ["eval", "--seed", "1", "--lr", "-5"],
+    "lr_nan": ["eval", "--seed", "1", "--lr", "nan"],
+    "corrector_lr": ["eval", "--seed", "1", "--corrector-lr", "inf"],
+    "vocab_size": ["gen-corpus", "--vocab-size", "1", "--num-docs", "2", "--seq-len", "4", "--seed", "1"],
+    "num_docs": ["gen-corpus", "--vocab-size", "4", "--num-docs", "0", "--seq-len", "4", "--seed", "1"],
+    "gen_corpus_zipf_exponent": [
+        "gen-corpus", "--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--seed", "1", "--zipf-exponent", "-1",
+    ],
+    "n_steps": ["dump-schedule", "--n-steps", "0", "--seq-len", "4"],
+    "seq_len": ["dump-schedule", "--n-steps", "2", "--seq-len", "0"],
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_VALUE_EXIT_CODES))
+def test_config_value_exit_codes(tmp_path, capsys, name):
+    argv = CONFIG_VALUE_EXIT_CODES[name]
+    out_flag = ["--out", str(tmp_path / "out")] if argv[0] in ("gen-corpus", "dump-schedule") else [
+        "--output-dir", str(tmp_path / "run")]
+    assert cli_main(argv + out_flag) == 2
+    field = name.removeprefix("gen_corpus_").removesuffix("_nan")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [err[0]] and err[0].startswith(f"config error: {field}:"), err
+    assert not any(tmp_path.iterdir())  # rejected before anything is written

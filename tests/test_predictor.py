@@ -1,9 +1,14 @@
 """Masked-token predictor: conditioning, forward, loss gradients, training."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from helpers import (
     central_differences,
     predictor_grads_flat,
@@ -24,6 +29,8 @@ from maskgen.predictor import (
     masked_ce_loss,
     save_predictor,
     train,
+    window,
+    window_adjoint,
     write_learning_curve,
 )
 from maskgen.schedule import MaskMode, ScheduleConfig
@@ -88,7 +95,6 @@ class TestForward:
         ctx = build_conditioning(rng.integers(0, 6, size=9), model)
         pred = forward(model, rng.integers(0, 7, size=9), ctx)
         np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_array_equal(pred.confidences, pred.probs.max(axis=1))
 
     def test_hand_arithmetic_oracle(self):
         # independent recomputation with plain python loops, V=3 D=2 r=0
@@ -144,6 +150,26 @@ class TestForward:
         base = forward(model, masked, build_conditioning(distorted, model))
         permuted = forward(model, masked[perm], build_conditioning(distorted[perm], model))
         assert not np.allclose(permuted.probs, base.probs[perm], atol=1e-6)
+
+
+class TestWindow:
+    def test_blocks_are_shifted_rows_with_zero_padding(self):
+        u = np.arange(1.0, 9.0).reshape(4, 2)
+        feats = window(u, 1)
+        np.testing.assert_array_equal(feats[:, 2:4], u)
+        np.testing.assert_array_equal(feats[1:, 0:2], u[:-1])
+        np.testing.assert_array_equal(feats[:-1, 4:6], u[1:])
+        assert not feats[0, 0:2].any() and not feats[-1, 4:6].any()
+
+    @pytest.mark.parametrize("t,d,r", [(1, 1, 0), (5, 3, 1), (3, 2, 2), (2, 4, 3)])
+    def test_adjoint_identity(self, t, d, r):
+        # <window(u), g> == <u, window_adjoint(g)> for every u and g
+        rng = np.random.default_rng(t * 100 + d * 10 + r)
+        u = rng.standard_normal((t, d))
+        g = rng.standard_normal((t, d * (2 * r + 1)))
+        lhs = float((window(u, r) * g).sum())
+        rhs = float((u * window_adjoint(g, r, d)).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestMaskedCeLoss:
@@ -300,4 +326,33 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMODEL" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            load_predictor(path)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(v=st.integers(1, 6), d=st.integers(1, 4), r=st.integers(0, 2), data=st.data())
+    def test_round_trip_bit_exact(self, v, d, r, data):
+        def block(shape):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(width=64)))
+
+        model = PredictorModel(
+            embedding=block((v + 1, d)), out_w=block((d * (2 * r + 1), v)), out_b=block((v,)), radius=r
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.bin")
+            save_predictor(model, path)
+            size = os.path.getsize(path)
+            loaded = load_predictor(path)
+        assert size == 8 + 16 + 8 * (model.embedding.size + model.out_w.size + model.out_b.size)
+        for name in ("embedding", "out_w", "out_b"):
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes(), name
+        assert (loaded.vocab_size, loaded.dim, loaded.radius) == (v, d, r)
+
+    @pytest.mark.parametrize("cut", [1, 8, 24, -1, -14])
+    def test_wrong_length_rejected(self, tmp_path, cut):
+        # positive cut drops that many trailing bytes; negative appends them
+        path = tmp_path / "model.bin"
+        save_predictor(init_model(5, 3, 1, np.random.default_rng(19)), path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-cut] if cut > 0 else whole + b"\x7f" * -cut)
+        with pytest.raises(ValueError, match="bytes"):
             load_predictor(path)

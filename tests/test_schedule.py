@@ -143,12 +143,6 @@ class TestSampleMask:
         sigma_mean = math.sqrt((probs * (1 - probs)).sum() / trials)
         assert abs(counts.mean() - probs.sum()) <= 3 * sigma_mean
 
-    def test_probabilities_recorded(self):
-        probs = np.array([0.2, 0.8])
-        mv = sample_mask(probs, np.random.default_rng(0), step=3)
-        np.testing.assert_array_equal(mv.probs, probs)
-        assert mv.step == 3
-
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
             sample_mask(np.array([0.5, 1.5]), np.random.default_rng(0))
