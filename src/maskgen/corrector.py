@@ -21,6 +21,7 @@ from .corpus import Corpus, substitute
 from .decoder import decode
 from .errors import NumericsError
 from .predictor import (
+    CHECKPOINT_VERSION,
     ConditioningContext,
     PredictorModel,
     forward,
@@ -32,7 +33,6 @@ from .predictor import (
 from .schedule import ScheduleConfig, apply_mask
 
 CORRECTOR_MAGIC = b"MGCORR\x00\x01"
-CORRECTOR_VERSION = 1
 
 
 @dataclass
@@ -41,7 +41,7 @@ class CorrectorModel:
     w: np.ndarray  # (D*(2r+1),)
     b: float
     radius: int
-    version: int = CORRECTOR_VERSION
+    version: int = CHECKPOINT_VERSION
 
     @property
     def vocab_size(self) -> int:
@@ -239,7 +239,7 @@ def save_corrector(model: CorrectorModel, path) -> None:
 
 
 def load_corrector(path) -> CorrectorModel:
-    (v, d, r), (embedding, w, b) = read_checkpoint(
+    r, (embedding, w, b) = read_checkpoint(
         path, CORRECTOR_MAGIC, "corrector", lambda v, d, r: [(v, d), (d * (2 * r + 1),), (1,)]
     )
-    return CorrectorModel(embedding=embedding, w=w, b=float(b[0]), radius=r, version=CORRECTOR_VERSION)
+    return CorrectorModel(embedding=embedding, w=w, b=float(b[0]), radius=r)

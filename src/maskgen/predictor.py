@@ -371,8 +371,8 @@ def write_checkpoint(path, magic: bytes, header: tuple[int, int, int, int], bloc
             fh.write(np.asarray(block).astype("<f8").tobytes())
 
 
-def read_checkpoint(path, magic: bytes, kind: str, shapes) -> tuple[tuple[int, int, int], list[np.ndarray]]:
-    """``(V, D, r)`` and the parameter blocks, whose shapes ``shapes(V, D, r)``
+def read_checkpoint(path, magic: bytes, kind: str, shapes) -> tuple[int, list[np.ndarray]]:
+    """The radius r and the parameter blocks, whose shapes ``shapes(V, D, r)``
     gives. Raises ``ValueError`` on a wrong magic, an unsupported version or
     a file whose length is not exactly what its header implies."""
     with open(path, "rb") as fh:
@@ -395,7 +395,7 @@ def read_checkpoint(path, magic: bytes, kind: str, shapes) -> tuple[tuple[int, i
     for shape, n in zip(block_shapes, sizes):
         blocks.append(np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape).astype(np.float64))
         offset += 8 * n
-    return (v, d, r), blocks
+    return r, blocks
 
 
 def save_predictor(model: PredictorModel, path) -> None:
@@ -404,7 +404,7 @@ def save_predictor(model: PredictorModel, path) -> None:
 
 
 def load_predictor(path) -> PredictorModel:
-    (v, d, r), (embedding, out_w, out_b) = read_checkpoint(
+    r, (embedding, out_w, out_b) = read_checkpoint(
         path, CHECKPOINT_MAGIC, "predictor", lambda v, d, r: [(v + 1, d), (d * (2 * r + 1), v), (v,)]
     )
-    return PredictorModel(embedding=embedding, out_w=out_w, out_b=out_b, radius=r, version=CHECKPOINT_VERSION)
+    return PredictorModel(embedding=embedding, out_w=out_w, out_b=out_b, radius=r)
