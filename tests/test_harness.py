@@ -400,32 +400,34 @@ def test_decode_exit_codes(decode_inputs, tmp_path, capsys, flags, code):
         assert len(err) == 1 and err[0].startswith("numeric failure"), err
 
 
+GEN_CORPUS = ["gen-corpus", "--seed", "1", "--out", "{tmp}/corpus.txt"]
+DUMP_SCHEDULE = ["dump-schedule", "--out", "{tmp}/schedule.csv"]
 CONFIG_VALUE_EXIT_CODES = {
-    "zipf_exponent": ["eval", "--seed", "1", "--zipf-exponent", "-1"],
-    "markov_order": ["eval", "--seed", "1", "--markov-order", "2"],
-    "corrector_radius": ["eval", "--seed", "1", "--corrector-radius", "-1", "--use-corrector", "true"],
-    "corrector_dim": ["eval", "--seed", "1", "--corrector-dim", "0"],
-    "corrector_epochs": ["train-corrector", "--seed", "1", "--corrector-epochs", "-1"],
-    "lr": ["eval", "--seed", "1", "--lr", "-5"],
-    "lr_nan": ["eval", "--seed", "1", "--lr", "nan"],
-    "corrector_lr": ["eval", "--seed", "1", "--corrector-lr", "inf"],
-    "vocab_size": ["gen-corpus", "--vocab-size", "1", "--num-docs", "2", "--seq-len", "4", "--seed", "1"],
-    "num_docs": ["gen-corpus", "--vocab-size", "4", "--num-docs", "0", "--seq-len", "4", "--seed", "1"],
-    "gen_corpus_zipf_exponent": [
-        "gen-corpus", "--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--seed", "1", "--zipf-exponent", "-1",
-    ],
-    "n_steps": ["dump-schedule", "--n-steps", "0", "--seq-len", "4"],
-    "seq_len": ["dump-schedule", "--n-steps", "2", "--seq-len", "0"],
+    "eval_zipf_exponent": ("zipf_exponent", ["eval", "--zipf-exponent", "-1"]),
+    "eval_markov_order": ("markov_order", ["eval", "--markov-order", "2"]),
+    "eval_corrector_radius": ("corrector_radius", ["eval", "--corrector-radius", "-1", "--use-corrector", "true"]),
+    "eval_corrector_dim": ("corrector_dim", ["eval", "--corrector-dim", "0"]),
+    "train_corrector_epochs": ("corrector_epochs", ["train-corrector", "--corrector-epochs", "-1"]),
+    "eval_lr_negative": ("lr", ["eval", "--lr", "-5"]),
+    "eval_lr_nan": ("lr", ["eval", "--lr", "nan"]),
+    "eval_corrector_lr_inf": ("corrector_lr", ["eval", "--corrector-lr", "inf"]),
+    "gen_corpus_vocab_size": ("vocab_size", GEN_CORPUS + ["--vocab-size", "1", "--num-docs", "2", "--seq-len", "4"]),
+    "gen_corpus_num_docs": ("num_docs", GEN_CORPUS + ["--vocab-size", "4", "--num-docs", "0", "--seq-len", "4"]),
+    "gen_corpus_zipf_exponent": (
+        "zipf_exponent",
+        GEN_CORPUS + ["--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--zipf-exponent", "-1"],
+    ),
+    "dump_schedule_n_steps": ("n_steps", DUMP_SCHEDULE + ["--n-steps", "0", "--seq-len", "4"]),
+    "dump_schedule_seq_len": ("seq_len", DUMP_SCHEDULE + ["--n-steps", "2", "--seq-len", "0"]),
 }
 
 
-@pytest.mark.parametrize("name", list(CONFIG_VALUE_EXIT_CODES))
-def test_config_value_exit_codes(tmp_path, capsys, name):
-    argv = CONFIG_VALUE_EXIT_CODES[name]
-    out_flag = ["--out", str(tmp_path / "out")] if argv[0] in ("gen-corpus", "dump-schedule") else [
-        "--output-dir", str(tmp_path / "run")]
-    assert cli_main(argv + out_flag) == 2
-    field = name.removeprefix("gen_corpus_").removesuffix("_nan")
+@pytest.mark.parametrize("field,argv", list(CONFIG_VALUE_EXIT_CODES.values()), ids=list(CONFIG_VALUE_EXIT_CODES))
+def test_config_value_exit_codes(tmp_path, capsys, field, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] in ("eval", "train-corrector"):
+        argv += ["--seed", "1", "--output-dir", str(tmp_path / "run")]
+    assert cli_main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [err[0]] and err[0].startswith(f"config error: {field}:"), err
+    assert len(err) == 1 and err[0].startswith(f"config error: {field}:"), err
     assert not any(tmp_path.iterdir())  # rejected before anything is written
