@@ -305,20 +305,28 @@ class TrainedPipeline:
 def derive_seeds(master: int) -> dict[str, int]:
     """Named sub-seeds for the pipeline stages, all derived from the master."""
     rng = np.random.default_rng(master)
+    # "test_corpus" is no longer used (the held-out docs continue the
+    # training generation) but is still drawn, so the later seeds keep
+    # their values
     names = ("train_corpus", "test_corpus", "fit", "eval", "corrector")
     draws = rng.integers(0, 2**62, size=len(names))
     return {name: int(v) for name, v in zip(names, draws)}
 
 
 def build_pipeline(cfg: ExperimentConfig, force_corrector: bool | None = None) -> TrainedPipeline:
-    """Generate corpora, fit the predictor (and corrector if enabled)."""
+    """Generate corpora, fit the predictor (and corrector if enabled).
+
+    The held-out docs are the tail of one generation whose head is the
+    training corpus, so both share one transition structure. Generation is
+    prefix-stable, so the head equals a generation of ``num_docs`` alone.
+    """
     seeds = derive_seeds(cfg.seed)
-    train_corpus = generate_corpus(
-        cfg.vocab_size, cfg.num_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order, seeds["train_corpus"]
+    docs = generate_corpus(
+        cfg.vocab_size, cfg.num_docs + cfg.test_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order,
+        seeds["train_corpus"],
     )
-    test_corpus = generate_corpus(
-        cfg.vocab_size, cfg.test_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order, seeds["test_corpus"]
-    )
+    train_corpus = replace(docs, tokens=docs.tokens[: cfg.num_docs])
+    test_corpus = replace(docs, tokens=docs.tokens[cfg.num_docs :])
     freq = frequency_table(train_corpus)
     sched, model, history = _fit_predictor(cfg, train_corpus, freq)
     use_corr = cfg.use_corrector if force_corrector is None else force_corrector

@@ -13,6 +13,7 @@ from maskgen.harness import (
     build_pipeline,
     compare_masking_modes,
     config_hash,
+    derive_seeds,
     edit_distance,
     evaluate,
     frequency_deciles,
@@ -214,6 +215,16 @@ class TestCompareModes:
         assert np.array_equal(a.train_corpus.tokens, b.train_corpus.tokens)
         assert np.array_equal(a.test_corpus.tokens, b.test_corpus.tokens)
 
+    def test_held_out_docs_continue_the_training_generation(self):
+        cfg = tiny_config()
+        pipe = build_pipeline(cfg)
+        seed = derive_seeds(cfg.seed)["train_corpus"]
+        longer = generate_corpus(16, cfg.num_docs + cfg.test_docs, 32, 1.2, 1, seed)
+        np.testing.assert_array_equal(pipe.train_corpus.tokens, longer.tokens[: cfg.num_docs])
+        np.testing.assert_array_equal(pipe.test_corpus.tokens, longer.tokens[cfg.num_docs :])
+        # prefix-stable: the training corpus is the one generated alone
+        np.testing.assert_array_equal(pipe.train_corpus.tokens, generate_corpus(16, cfg.num_docs, 32, 1.2, 1, seed).tokens)
+
     def test_four_cells_per_seed(self, tmp_path):
         cfg = tiny_config(seeds=(5,))
         results = compare_masking_modes(cfg, out_dir=str(tmp_path))
@@ -241,7 +252,7 @@ class TestCompareModes:
             monkeypatch.setattr(harness_mod, name, counted(name))
         cfg = tiny_config(seeds=(5,))
         results = compare_masking_modes(cfg, out_dir=str(tmp_path))
-        assert calls == {"generate_corpus": 2, "train_corrector": 1}
+        assert calls == {"generate_corpus": 1, "train_corrector": 1}
         # the shared set-up gives the cells a pipeline built per mode gives
         for mode in ("uniform", "ctf"):
             cell_cfg = replace(cfg, seed=5, mask_mode=mode)
