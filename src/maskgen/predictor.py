@@ -15,6 +15,18 @@ below account for all of them and are validated against finite differences.
 
 The training objective is cross entropy summed over masked positions only;
 unmasked positions contribute exactly zero gradient.
+
+``build_conditioning``, ``forward``, ``masked_ce_loss``, ``window`` and
+``window_adjoint`` take either one sequence ((T,) ids, (T, D) rows) or a
+batch with a leading axis ((B, T), (B, T, D)); one sequence is the B = 1
+case of the same code. Training runs each minibatch as one batched pass
+that reproduces per-example SGD bit for bit. The matrix products run as
+``np.matmul`` over the stacked sequences, which makes for each sequence the
+same BLAS call that a single-sequence pass makes; a single product over all
+B*T rows would round differently when T is 1, where numpy switches from a
+matrix product to a vector product. Every sum that runs across examples
+(loss, output-weight, bias and embedding gradients) is taken per example
+and added in example order, the order the per-example loop used.
 """
 
 from __future__ import annotations
@@ -68,32 +80,33 @@ class PredictorModel:
 
 @dataclass
 class ConditioningContext:
-    """Per-position conditioning vectors plus one global vector.
+    """Per-position conditioning vectors plus one global vector, for one
+    sequence or, with a leading batch axis, for each sequence of a batch.
 
     ``source_tokens`` records which distorted token produced each vector so
     the backward pass can route gradient into the embedding table.
     """
 
-    cond: np.ndarray  # (T, D)
-    global_embed: np.ndarray  # (D,)
-    source_tokens: np.ndarray  # (T,) int64
+    cond: np.ndarray  # ([B,] T, D)
+    global_embed: np.ndarray  # ([B,] D)
+    source_tokens: np.ndarray  # ([B,] T) int64
 
     @property
     def seq_len(self) -> int:
-        return self.cond.shape[0]
+        return self.cond.shape[-2]
 
 
 @dataclass
 class PredictionOutput:
-    probs: np.ndarray  # (T, V), rows sum to 1
+    probs: np.ndarray  # ([B,] T, V), rows sum to 1
     _cache: "_ForwardCache" = field(repr=False)
 
 
 @dataclass
 class _ForwardCache:
     model: PredictorModel
-    masked: np.ndarray  # (T,) input ids, mask token allowed
-    features: np.ndarray  # (T, F)
+    masked: np.ndarray  # ([B,] T) input ids, mask token allowed
+    features: np.ndarray  # ([B,] T, F)
     ctx: ConditioningContext
 
 
@@ -102,7 +115,7 @@ class PredictorGradients:
     embedding: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
-    logits: np.ndarray  # (T, V) gradient wrt logits; zero rows at unmasked positions
+    logits: np.ndarray  # ([B,] T, V) gradient wrt logits; zero rows at unmasked positions
 
 
 @dataclass
@@ -137,45 +150,49 @@ def init_model(vocab_size: int, dim: int, radius: int, rng: np.random.Generator)
 
 
 def build_conditioning(distorted: np.ndarray, model: PredictorModel) -> ConditioningContext:
-    """Embed the distorted observation; global vector is the mean embedding."""
+    """Embed the distorted observation, (T,) ids or a (B, T) batch; the
+    global vector of each sequence is its mean embedding."""
     distorted = np.asarray(distorted, dtype=np.int64)
     if distorted.min(initial=0) < 0 or distorted.max(initial=0) >= model.vocab_size:
         raise ValueError("distorted token id outside [0, vocab_size)")
     cond = model.embedding[distorted]
-    return ConditioningContext(cond=cond, global_embed=cond.mean(axis=0), source_tokens=distorted)
+    return ConditioningContext(cond=cond, global_embed=cond.mean(axis=-2), source_tokens=distorted)
 
 
 def window(u: np.ndarray, r: int) -> np.ndarray:
-    """(T, D*(2r+1)) windowed concatenation of the (T, D) rows of ``u``:
-    block c of row t is row t + c - r, zero outside the sequence. The
-    predictor and the corrector build their features with it."""
-    t, d = u.shape
-    padded = np.zeros((t + 2 * r, d))
-    padded[r : r + t] = u
-    return np.concatenate([padded[c : c + t] for c in range(2 * r + 1)], axis=1)
+    """([B,] T, D*(2r+1)) windowed concatenation of the ([B,] T, D) rows of
+    ``u``: block c of row t is row t + c - r of the same sequence, zero
+    outside it. The predictor and the corrector build their features with
+    it."""
+    t, d = u.shape[-2:]
+    padded = np.zeros(u.shape[:-2] + (t + 2 * r, d))
+    padded[..., r : r + t, :] = u
+    return np.concatenate([padded[..., c : c + t, :] for c in range(2 * r + 1)], axis=-1)
 
 
 def window_adjoint(dfeats: np.ndarray, r: int, d: int) -> np.ndarray:
-    """(T, D) gradient wrt ``u`` of a loss whose gradient wrt
+    """([B,] T, D) gradient wrt ``u`` of a loss whose gradient wrt
     ``window(u, r)`` is ``dfeats``: position j collects the block of every
     window it appears in."""
-    t = dfeats.shape[0]
-    blocks = dfeats.reshape(t, 2 * r + 1, d)
-    du = np.zeros((t, d))
+    t = dfeats.shape[-2]
+    blocks = dfeats.reshape(dfeats.shape[:-1] + (2 * r + 1, d))
+    du = np.zeros(dfeats.shape[:-1] + (d,))
     for c in range(2 * r + 1):
         k = c - r  # block c of window t covers position t + k
         t_lo, t_hi = max(0, -k), min(t, t - k)
         if t_lo < t_hi:
-            du[t_lo + k : t_hi + k] += blocks[t_lo:t_hi, c]
+            du[..., t_lo + k : t_hi + k, :] += blocks[..., t_lo:t_hi, c, :]
     return du
 
 
 def _window_features(model: PredictorModel, inputs: np.ndarray, ctx: ConditioningContext) -> np.ndarray:
-    """(T, F) features: windowed concatenation of per-position vectors with
-    the global vector added to the center block."""
+    """([B,] T, F) features: windowed concatenation of per-position vectors
+    with the global vector added to the center block."""
     r, d = model.radius, model.dim
-    feats = window(model.embedding[inputs] + ctx.cond, r)
-    feats[:, r * d : (r + 1) * d] += ctx.global_embed
+    u = model.embedding[inputs]
+    u += ctx.cond
+    feats = window(u, r)
+    feats[..., r * d : (r + 1) * d] += ctx.global_embed[..., None, :]
     return feats
 
 
@@ -185,65 +202,98 @@ def forward(
     ctx: ConditioningContext,
     positions: np.ndarray | None = None,
 ) -> PredictionOutput:
-    """Per-position probability vectors over the vocabulary.
+    """Per-position probability vectors over the vocabulary: (T, V) for
+    (T,) input ids, (B, T, V) for a (B, T) batch.
 
-    With ``positions`` only those rows are normalized and returned, in the
-    given order: ``probs`` is then (len(positions), V) and equals the
-    matching rows of the full output bit for bit. The logits are still
-    computed for the whole sequence, because a matrix product over fewer
-    rows may round differently.
+    With ``positions`` only those rows of each sequence are normalized and
+    returned, in the given order: ``probs`` is then ([B,] len(positions), V)
+    and equals the matching rows of the full output bit for bit. The logits
+    are still computed for the whole sequence, because a matrix product over
+    fewer rows may round differently.
     """
     masked = np.asarray(masked, dtype=np.int64)
-    if masked.shape[0] != ctx.seq_len:
-        raise ValueError(f"sequence length {masked.shape[0]} != conditioning length {ctx.seq_len}")
+    if masked.shape != ctx.source_tokens.shape:
+        raise ValueError(f"input shape {masked.shape} != conditioning shape {ctx.source_tokens.shape}")
     if masked.min(initial=0) < 0 or masked.max(initial=0) > model.vocab_size:
         raise ValueError("input token id outside [0, vocab_size] (mask token is vocab_size)")
     feats = _window_features(model, masked, ctx)
-    logits = feats @ model.out_w + model.out_b
+    logits = np.matmul(feats, model.out_w)  # per sequence, the product a single pass makes
+    logits += model.out_b
     if positions is not None:
-        logits = logits[positions]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    probs = np.exp(logp)
+        logits = logits[..., positions, :]
+    # log-softmax, then exp, in the logits' buffer
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    probs = np.exp(logits, out=logits)
     return PredictionOutput(probs=probs, _cache=_ForwardCache(model=model, masked=masked, features=feats, ctx=ctx))
 
 
 def masked_ce_loss(
     pred: PredictionOutput, target: np.ndarray, mask: np.ndarray
-) -> tuple[float, PredictorGradients]:
+) -> tuple[float | np.ndarray, PredictorGradients]:
     """Cross entropy summed over masked positions, with analytic gradients
     for every parameter block (embedding via both the input and the
-    conditioning routes, output weights, bias)."""
+    conditioning routes, output weights, bias).
+
+    For one sequence the loss is a float. For a (B, T) batch it is the (B,)
+    array of per-example losses, and each parameter gradient is the sum of
+    the per-example gradients added in example order, so it equals the sum
+    of B single-sequence calls bit for bit.
+
+    The prediction is spent: the gradient wrt the logits (``grads.logits``)
+    is written over ``pred.probs`` and the gradient wrt the features over its
+    cached features. Read ``pred.probs`` before the call.
+    """
     target = np.asarray(target, dtype=np.int64)
     mask = np.asarray(mask)
     cache = pred._cache
-    model, t = cache.model, target.shape[0]
-    if pred.probs.shape[0] != t or mask.shape[0] != t:
-        raise ValueError("target / mask / prediction lengths disagree")
-    r, d = model.radius, model.dim
+    model = cache.model
+    if pred.probs.shape[:-1] != target.shape or mask.shape != target.shape:
+        raise ValueError("target / mask / prediction shapes disagree")
+    r, d, v, f = model.radius, model.dim, model.vocab_size, model.feature_dim
+    t = target.shape[-1]
+    # one sequence is a batch of one; these reshapes are views
+    dlogits = pred.probs.reshape(-1, t, v)
+    feats = cache.features.reshape(-1, t, f)
+    targets = target.reshape(-1, t)
+    m = mask.reshape(-1, t).astype(np.float64)
+    nb = targets.shape[0]
 
-    m = mask.astype(np.float64)
-    # sum only over masked positions; an unmasked position with an
-    # underflowed probability must not poison the loss with 0 * -inf
-    on = np.flatnonzero(mask == 1)
-    loss = float(-np.log(pred.probs[on, target[on]]).sum()) if on.size else 0.0
+    losses = np.zeros(nb)
+    for b in range(nb):
+        # sum only over masked positions; an unmasked position with an
+        # underflowed probability must not poison the loss with 0 * -inf
+        on = np.flatnonzero(m[b] == 1)
+        if on.size:
+            losses[b] = -np.log(dlogits[b, on, targets[b, on]]).sum()
 
-    dlogits = pred.probs.copy()
-    dlogits[np.arange(t), target] -= 1.0
-    dlogits *= m[:, None]
+    dlogits[np.arange(nb)[:, None], np.arange(t), targets] -= 1.0
+    dlogits *= m[..., None]
 
-    g_w = cache.features.T @ dlogits
-    g_b = dlogits.sum(axis=0)
+    g_w = np.zeros_like(model.out_w)
+    g_b = np.zeros_like(model.out_b)
+    for b in range(nb):
+        g_w += feats[b].T @ dlogits[b]
+        g_b += dlogits[b].sum(axis=0)
 
-    dfeats = dlogits @ model.out_w.T
+    dfeats = np.matmul(dlogits, model.out_w.T, out=feats)  # the features are spent
     du = window_adjoint(dfeats, r, d)
-    dg = dfeats[:, r * d : (r + 1) * d].sum(axis=0)  # center block also feeds the global vector
-    dcond = du + dg / t  # global vector is the mean of the cond rows
+    # the center block also feeds the global vector, the mean of the cond rows
+    dcond = du + dfeats[..., r * d : (r + 1) * d].sum(axis=-2, keepdims=True) / t
 
+    # per example, one scatter of the input-route rows, then the
+    # conditioning-route rows, into flat (token, k) bins: the order of
+    # np.add.at over the same rows
     g_e = np.zeros_like(model.embedding)
-    np.add.at(g_e, cache.masked, du)
-    np.add.at(g_e, cache.ctx.source_tokens, dcond)
-    return loss, PredictorGradients(embedding=g_e, out_w=g_w, out_b=g_b, logits=dlogits)
+    inputs = cache.masked.reshape(-1, t)
+    sources = cache.ctx.source_tokens.reshape(-1, t)
+    cols = np.arange(d)
+    for b in range(nb):
+        bins = np.concatenate([inputs[b], sources[b]])[:, None] * d + cols
+        rows = np.concatenate([du[b], dcond[b]])
+        g_e += np.bincount(bins.ravel(), weights=rows.ravel(), minlength=g_e.size).reshape(g_e.shape)
+    loss = float(losses[0]) if target.ndim == 1 else losses
+    return loss, PredictorGradients(embedding=g_e, out_w=g_w, out_b=g_b, logits=pred.probs)
 
 
 def example_loss(
@@ -271,6 +321,56 @@ def _sample_step(n_steps: int, rng: np.random.Generator) -> int:
     return int(rng.integers(1, n_steps))
 
 
+def _train_batch(
+    model: PredictorModel,
+    corpus: Corpus,
+    freq: FrequencyTable,
+    sched: ScheduleConfig,
+    hyper: TrainConfig,
+    idx: np.ndarray,
+    rng: np.random.Generator,
+    epoch: int,
+) -> tuple[list[float], int, int]:
+    """One SGD step on the documents ``idx``. Returns the per-example losses,
+    the masked count and the count of masked positions predicted right.
+
+    The random draws run per example, in the order of the per-example loop:
+    corrupt, schedule step, masking probabilities, mask. The forward and
+    backward passes then run once over the whole batch. The batch's arrays
+    die when the step returns.
+    """
+    v, t = corpus.vocab_size, corpus.seq_len
+    clean = corpus.tokens[idx]
+    distorted = clean.copy()
+    m = np.empty(clean.shape, dtype=np.int8)
+    steps = []
+    for b in range(len(idx)):
+        if hyper.rho > 0:
+            distorted[b] = corrupt_sequence(clean[b], v, hyper.rho, rng)
+        step = _sample_step(sched.n_steps, rng)
+        if sched.mode is MaskMode.CTF:
+            p_base = sequence_base_probabilities(freq, clean[b])
+            probs = ctf_probabilities(p_base, step, sched.n_steps, sched.convention)
+        else:
+            probs = np.full(t, cosine_probability(step, sched.n_steps))
+        m[b] = sample_mask(probs, rng).m
+        steps.append(step)
+    pred = forward(model, apply_mask(clean, m, sched.mask_token_id), build_conditioning(distorted, model))
+    n_correct = int(((pred.probs.argmax(axis=-1) == clean) & (m == 1)).sum())
+    losses, grads = masked_ce_loss(pred, clean, m)
+    losses = losses.tolist()
+    for b, loss in enumerate(losses):
+        if not math.isfinite(loss):
+            raise NumericsError(f"non-finite loss {loss} at epoch {epoch}, example {idx[b]}, step {steps[b]}")
+    n_masked = int(m.sum())
+    if n_masked > 0:
+        scale = hyper.lr / n_masked
+        model.embedding -= scale * grads.embedding
+        model.out_w -= scale * grads.out_w
+        model.out_b -= scale * grads.out_b
+    return losses, n_masked, n_correct
+
+
 def train(
     corpus: Corpus,
     freq: FrequencyTable,
@@ -283,7 +383,9 @@ def train(
     schedule step, compute masking probabilities (uniform cosine or
     coarse-to-fine), sample and apply the mask, accumulate gradients. The
     update divides the summed gradient by the batch's masked-token count.
-    Deterministic for a fixed seed.
+    Each minibatch runs as one batched pass (see ``_train_batch``), bit for
+    bit the same as accumulating example by example. Deterministic for a
+    fixed seed.
     """
     v = corpus.vocab_size
     if sched.mask_token_id != v:
@@ -292,7 +394,7 @@ def train(
         raise ValueError("CTF mode needs a frequency table with idf populated")
     rng = np.random.default_rng(hyper.seed)
     model = init_model(v, hyper.dim, hyper.radius, rng)
-    n, t = corpus.num_docs, corpus.seq_len
+    n = corpus.num_docs
     history: list[EpochStats] = []
 
     for epoch in range(hyper.epochs):
@@ -301,44 +403,13 @@ def train(
         epoch_masked = 0
         epoch_correct = 0
         for start in range(0, n, hyper.batch):
-            idx = order[start : start + hyper.batch]
-            g_e = np.zeros_like(model.embedding)
-            g_w = np.zeros_like(model.out_w)
-            g_b = np.zeros_like(model.out_b)
-            batch_masked = 0
-            for j in idx:
-                clean = corpus.tokens[j]
-                distorted = corrupt_sequence(clean, v, hyper.rho, rng) if hyper.rho > 0 else clean.copy()
-                ctx = build_conditioning(distorted, model)
-                step = _sample_step(sched.n_steps, rng)
-                if sched.mode is MaskMode.CTF:
-                    p_base = sequence_base_probabilities(freq, clean)
-                    probs = ctf_probabilities(p_base, step, sched.n_steps, sched.convention)
-                else:
-                    probs = np.full(t, cosine_probability(step, sched.n_steps))
-                mv = sample_mask(probs, rng)
-                masked = apply_mask(clean, mv.m, sched.mask_token_id)
-                pred = forward(model, masked, ctx)
-                loss, grads = masked_ce_loss(pred, clean, mv.m)
-                if not np.isfinite(loss):
-                    raise NumericsError(
-                        f"non-finite loss {loss} at epoch {epoch}, example {j}, step {step}"
-                    )
-                g_e += grads.embedding
-                g_w += grads.out_w
-                g_b += grads.out_b
-                n_masked = int(mv.m.sum())
-                batch_masked += n_masked
-                if n_masked:
-                    hits = (pred.probs.argmax(axis=1) == clean) & (mv.m == 1)
-                    epoch_correct += int(hits.sum())
+            losses, n_masked, n_correct = _train_batch(
+                model, corpus, freq, sched, hyper, order[start : start + hyper.batch], rng, epoch
+            )
+            for loss in losses:  # example order, as the per-example loop added them
                 epoch_loss += loss
-            if batch_masked > 0:
-                scale = hyper.lr / batch_masked
-                model.embedding -= scale * g_e
-                model.out_w -= scale * g_w
-                model.out_b -= scale * g_b
-            epoch_masked += batch_masked
+            epoch_masked += n_masked
+            epoch_correct += n_correct
         per_token = epoch_loss / epoch_masked if epoch_masked else 0.0
         acc = epoch_correct / epoch_masked if epoch_masked else 0.0
         history.append(EpochStats(epoch=epoch, loss_sum=epoch_loss, loss_per_token=per_token, masked_acc=acc))

@@ -6,9 +6,12 @@ vectorized implementation is checked end to end against it.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maskgen.decoder as decoder_mod
 from maskgen.corrector import correct, init_corrector
@@ -135,6 +138,26 @@ class TestPlanOpenCounts:
             assert counts[i] <= max(raw, counts[i + 1] + 1)
         assert counts[0] == 24 and counts[-1] == 0
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 48),
+        data=st.data(),
+        ctf=st.booleans(),
+        convention=st.sampled_from(list(Convention)),
+    )
+    def test_strictly_decreasing_for_every_step_count(self, t, data, ctf, convention):
+        p_base = None
+        if ctf:
+            p_base = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=t, max_size=t)))
+        mode = MaskMode.CTF if ctf else MaskMode.UNIFORM_COSINE
+        for n in range(1, t + 1):
+            sched = ScheduleConfig(n_steps=n, mode=mode, convention=convention, mask_token_id=t)
+            # a subnormal p_base total overflows the scale to inf; the clip at 1 absorbs it
+            with np.errstate(over="ignore"):
+                counts = plan_open_counts(sched, t, p_base)
+            assert counts.shape == (n + 1,) and counts[0] == t and counts[-1] == 0
+            assert (np.diff(counts) < 0).all(), (n, counts)
+
     def test_more_steps_than_tokens_rejected(self):
         sched = ScheduleConfig(n_steps=8, mask_token_id=4)
         with pytest.raises(ValueError):
@@ -216,6 +239,39 @@ class TestDecode:
         for before, after in zip(seen, seen[1:]):
             fixed = before != 5
             np.testing.assert_array_equal(before[fixed], after[fixed])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        t=st.integers(1, 24),
+        data=st.data(),
+        ctf=st.booleans(),
+        convention=st.sampled_from(list(Convention)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_step_commits_the_planned_count_and_keeps_commits(self, t, data, ctf, convention, seed):
+        n = data.draw(st.integers(1, t))
+        rng = np.random.default_rng(seed)
+        model, distorted = make_case(rng, t_len=t, v=5, d=3, r=1)
+        p_base = 1.0 - rng.random(t) if ctf else None  # in (0, 1]
+        mode = MaskMode.CTF if ctf else MaskMode.UNIFORM_COSINE
+        sched = ScheduleConfig(n_steps=n, mode=mode, convention=convention, mask_token_id=5)
+        inputs = []
+        real_forward = decoder_mod.forward
+
+        def recording_forward(model, masked, ctx, positions=None):
+            inputs.append(np.array(masked))
+            return real_forward(model, masked, ctx, positions)
+
+        with mock.patch.object(decoder_mod, "forward", recording_forward):
+            out, _ = decode(model, build_conditioning(distorted, model), sched, p_base=p_base)
+        counts = plan_open_counts(sched, t, p_base)
+        # from the fully masked start every step commits, so every step runs a pass
+        assert len(inputs) == n
+        states = inputs + [out]
+        for i, (before, after) in enumerate(zip(states, states[1:])):
+            committed = before != 5
+            assert (~committed).sum() == counts[i] and (after == 5).sum() == counts[i + 1]
+            np.testing.assert_array_equal(after[committed], before[committed])
 
     def test_greedy_decode_is_pure(self):
         rng = np.random.default_rng(6)

@@ -1,8 +1,14 @@
 """Config parsing, metrics, experiment pipelines, CSV artifacts, CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import maskgen
 from maskgen.cli import main as cli_main
 from maskgen.corpus import frequency_table, generate_corpus, load_corpus, save_corpus, save_frequency_csv
 from maskgen.corrector import init_corrector, save_corrector
@@ -168,6 +174,24 @@ class TestRunExperiment:
         run_experiment(cfg, out_dir=str(tmp_path / "b"))
         for name in ("metrics.csv", "deciles.csv", "decode_trace.csv", "learning_curve.csv", "frequency.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_csvs_do_not_depend_on_blas_threads(self, tmp_path):
+        # Default vocab_size, seq_len and embed_dim with few docs and one
+        # epoch, not tiny_config's sizes: each training product is then
+        # (96, 96) @ (96, 64) per sequence, large enough that OpenBLAS splits
+        # it across threads when it has more than one. The in-process run
+        # uses the default thread count of this process.
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("seed = 101\nnum_docs = 20\ntest_docs = 6\nepochs = 1\n")
+        src = Path(maskgen.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+        subprocess.run(
+            [sys.executable, "-m", "maskgen.cli", "eval", "--config", str(cfg_file), "--output-dir", str(tmp_path / "one")],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        run_experiment(load_config(cfg_file), out_dir=str(tmp_path / "default"))
+        for name in ("metrics.csv", "deciles.csv", "decode_trace.csv", "learning_curve.csv", "frequency.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
 
     def test_decile_accuracies_aggregate_to_overall(self, tmp_path):
         report = run_experiment(tiny_config(), out_dir=str(tmp_path))
