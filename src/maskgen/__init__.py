@@ -48,7 +48,6 @@ from .predictor import (
     train,
 )
 from .schedule import (
-    Convention,
     MaskMode,
     MaskVector,
     ScheduleConfig,

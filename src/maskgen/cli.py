@@ -21,7 +21,7 @@ from . import corrector as corrlib
 from . import decoder as declib
 from . import harness, predictor
 from .errors import ConfigError, NumericsError
-from .schedule import Convention, MaskMode, ScheduleConfig, dump_schedule_rows
+from .schedule import MaskMode, ScheduleConfig, dump_schedule_rows
 
 
 def _load_cfg(args) -> harness.ExperimentConfig:
@@ -122,10 +122,7 @@ def _cmd_decode(args) -> int:
     corrector = _read("corrector", corrlib.load_corrector, args.corrector) if args.corrector else None
     if corrector is not None and corrector.vocab_size != model.vocab_size:
         raise ConfigError("corrector", f"corrector vocab {corrector.vocab_size} != model vocab {model.vocab_size}")
-    sched = ScheduleConfig(
-        n_steps=args.n_steps, mode=mode, convention=Convention(args.convention),
-        mask_token_id=model.vocab_size,
-    )
+    sched = ScheduleConfig(n_steps=args.n_steps, mode=mode)
     streams = np.random.SeedSequence(args.seed if args.seed is not None else 0).spawn(observations.num_docs)
     decoded = np.empty_like(observations.tokens)
     last_trace: list[declib.StepTrace] = []
@@ -140,7 +137,7 @@ def _cmd_decode(args) -> int:
         if corrector is not None:
             out = corrlib.correct(
                 out, model, ctx, corrector, args.theta, args.rounds,
-                rng=rng, full_decode=sched if args.refill == "full" else None, p_base=p_base,
+                full_decode=sched if args.refill == "full" else None, p_base=p_base,
             )
         decoded[j] = out
     corpuslib.save_corpus(
@@ -186,14 +183,13 @@ def _cmd_compare_modes(args) -> int:
 def _cmd_dump_schedule(args) -> int:
     for key in ("n_steps", "seq_len"):
         harness.check_value(key, getattr(args, key))
-    sched = ScheduleConfig(n_steps=args.n_steps, convention=Convention(args.convention))
-    rows = dump_schedule_rows(sched, args.seq_len)
+    rows = dump_schedule_rows(ScheduleConfig(n_steps=args.n_steps), args.seq_len)
     with open(args.out, "w") as fh:
-        fh.write(f"# n_steps={args.n_steps} seq_len={args.seq_len} convention={args.convention}\n")
-        fh.write("step,expected_masked,convention\n")
-        for step, expected, conv in rows:
-            fh.write(f"{step},{expected!r},{conv}\n")
-    print(f"wrote schedule ({args.n_steps} steps, {args.convention}) to {args.out}")
+        fh.write(f"# n_steps={args.n_steps} seq_len={args.seq_len}\n")
+        fh.write("step,expected_masked\n")
+        for step, expected in rows:
+            fh.write(f"{step},{expected!r}\n")
+    print(f"wrote schedule ({args.n_steps} steps) to {args.out}")
     return 0
 
 
@@ -238,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-steps", type=int, default=10)
     p.add_argument("--mask-mode", choices=("uniform", "ctf"), default="uniform")
-    p.add_argument("--convention", choices=("cos", "sin"), default="cos")
     p.add_argument("--freq-csv", help="frequency table (required for ctf)")
     p.add_argument("--selection", choices=("greedy", "sample"), default="greedy")
     p.add_argument("--temperature", type=float, default=1.0)
@@ -267,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-schedule", help="expected masked count per step")
     p.add_argument("--n-steps", type=int, required=True)
     p.add_argument("--seq-len", type=int, required=True)
-    p.add_argument("--convention", choices=("cos", "sin"), default="cos")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dump_schedule)
     return parser

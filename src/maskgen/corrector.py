@@ -41,7 +41,6 @@ class CorrectorModel:
     w: np.ndarray  # (D*(2r+1),)
     b: float
     radius: int
-    version: int = CHECKPOINT_VERSION
 
     @property
     def vocab_size(self) -> int:
@@ -55,7 +54,6 @@ class CorrectorModel:
 @dataclass
 class CorrectorVerdict:
     suspicion: np.ndarray  # (T,) in (0, 1)
-    threshold: float
     remask: np.ndarray  # (T,) int8; 1 where suspicion > threshold
 
 
@@ -175,7 +173,7 @@ def detect_and_remask(tokens: np.ndarray, model: CorrectorModel, threshold: floa
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     s = suspicion_scores(model, tokens)
-    return CorrectorVerdict(suspicion=s, threshold=threshold, remask=(s > threshold).astype(np.int8))
+    return CorrectorVerdict(suspicion=s, remask=(s > threshold).astype(np.int8))
 
 
 def correct(
@@ -185,14 +183,13 @@ def correct(
     corrector: CorrectorModel,
     threshold: float,
     rounds: int,
-    rng: np.random.Generator | None = None,
     full_decode: ScheduleConfig | None = None,
     p_base: np.ndarray | None = None,
 ) -> np.ndarray:
     """Re-mask suspicious positions and refill them, up to ``rounds`` times.
 
     Each round scores the current sequence, masks every flagged position,
-    and refills with a single argmax pass of the predictor (or a full
+    and refills with a single argmax pass of the predictor (or a full greedy
     multi-step decode when ``full_decode`` is given). Stops early when
     nothing is flagged or a round leaves the sequence unchanged (a fixed
     point: identical input would be flagged and refilled identically).
@@ -212,9 +209,7 @@ def correct(
             break
         masked = apply_mask(current, verdict.remask, mask_id)
         if full_decode is not None:
-            refilled, _ = decode(
-                predictor, ctx, full_decode, rng=rng, p_base=p_base, initial=masked
-            )
+            refilled, _ = decode(predictor, ctx, full_decode, p_base=p_base, initial=masked)
         else:
             flagged = np.flatnonzero(verdict.remask)
             probs = forward(predictor, masked, ctx, positions=flagged).probs
@@ -234,7 +229,7 @@ def correct(
 
 
 def save_corrector(model: CorrectorModel, path) -> None:
-    header = (model.version, model.vocab_size, model.dim, model.radius)
+    header = (CHECKPOINT_VERSION, model.vocab_size, model.dim, model.radius)
     write_checkpoint(path, CORRECTOR_MAGIC, header, [model.embedding, model.w, np.array([model.b])])
 
 

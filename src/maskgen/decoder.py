@@ -52,11 +52,11 @@ def plan_open_counts(
     if n > seq_len:
         raise ValueError(f"n_steps ({n}) must not exceed seq_len ({seq_len})")
     if table is None and sched.mode is MaskMode.CTF and p_base is not None:
-        table = ctf_probability_table(p_base, n, sched.convention)
+        table = ctf_probability_table(p_base, n)
     if table is not None:
         expected = table.sum(axis=1)
     else:
-        expected = [expected_masked_cosine(i, n, seq_len, sched.convention) for i in range(n + 1)]
+        expected = [expected_masked_cosine(i, n, seq_len) for i in range(n + 1)]
     raw = [math.floor(e + 0.5) for e in expected]  # round half up
 
     counts = [0] * (n + 1)
@@ -118,12 +118,10 @@ def decode(
     """
     if selection not in ("greedy", "sample"):
         raise ValueError(f"unknown selection {selection!r}")
-    if sched.mask_token_id != model.vocab_size:
-        raise ValueError("schedule mask_token_id must equal the model vocab size")
     if sched.mode is MaskMode.CTF and p_base is None:
         raise ValueError("CTF decoding needs the per-position p_base vector")
     t = ctx.seq_len
-    mask_id = sched.mask_token_id
+    mask_id = model.mask_token_id
     n = sched.n_steps
 
     if initial is None:
@@ -133,7 +131,7 @@ def decode(
         if current.shape[0] != t:
             raise ValueError("initial sequence length does not match conditioning")
     open_idx = np.flatnonzero(current == mask_id)
-    table = ctf_probability_table(p_base, n, sched.convention) if sched.mode is MaskMode.CTF else None
+    table = ctf_probability_table(p_base, n) if sched.mode is MaskMode.CTF else None
     plan = np.minimum(plan_open_counts(sched, t, p_base, table=table), open_idx.shape[0])
     trace: list[StepTrace] = []
     if open_idx.shape[0] == 0:

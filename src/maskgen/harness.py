@@ -32,7 +32,7 @@ from .predictor import (
     train,
     write_learning_curve,
 )
-from .schedule import Convention, MaskMode, ScheduleConfig
+from .schedule import MaskMode, ScheduleConfig
 
 
 @dataclass
@@ -46,7 +46,6 @@ class ExperimentConfig:
     markov_order: int = 1
     n_steps: int = 10
     mask_mode: str = "uniform"  # uniform | ctf
-    convention: str = "cos"  # cos | sin
     embed_dim: int = 32
     radius: int = 1
     lr: float = 1.5
@@ -119,7 +118,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 # per-key value rules; n_steps <= seq_len is checked across keys
-_CHOICES = {"mask_mode": ("uniform", "ctf"), "convention": ("cos", "sin"), "markov_order": (0, 1)}
+_CHOICES = {"mask_mode": ("uniform", "ctf"), "markov_order": (0, 1)}
 _AT_LEAST = {
     "vocab_size": 2, "num_docs": 1, "test_docs": 1, "seq_len": 1, "n_steps": 1, "embed_dim": 1,
     "epochs": 1, "batch": 1, "corrector_dim": 1, "corrector_epochs": 1,
@@ -341,12 +340,7 @@ def _fit_predictor(
     cfg: ExperimentConfig, train_corpus: Corpus, freq: FrequencyTable
 ) -> tuple[ScheduleConfig, PredictorModel, list[EpochStats]]:
     """Schedule of ``cfg`` and the predictor trained under it."""
-    sched = ScheduleConfig(
-        n_steps=cfg.n_steps,
-        mode=MaskMode(cfg.mask_mode),
-        convention=Convention(cfg.convention),
-        mask_token_id=cfg.vocab_size,
-    )
+    sched = ScheduleConfig(n_steps=cfg.n_steps, mode=MaskMode(cfg.mask_mode))
     model, history = train(
         train_corpus,
         freq,

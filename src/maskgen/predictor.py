@@ -58,7 +58,6 @@ class PredictorModel:
     out_w: np.ndarray  # (D*(2r+1), V)
     out_b: np.ndarray  # (V,)
     radius: int
-    version: int = CHECKPOINT_VERSION
     final_loss: float | None = None  # mean masked CE of the last epoch; not serialized
 
     @property
@@ -350,12 +349,12 @@ def _train_batch(
         step = _sample_step(sched.n_steps, rng)
         if sched.mode is MaskMode.CTF:
             p_base = sequence_base_probabilities(freq, clean[b])
-            probs = ctf_probabilities(p_base, step, sched.n_steps, sched.convention)
+            probs = ctf_probabilities(p_base, step, sched.n_steps)
         else:
             probs = np.full(t, cosine_probability(step, sched.n_steps))
         m[b] = sample_mask(probs, rng).m
         steps.append(step)
-    pred = forward(model, apply_mask(clean, m, sched.mask_token_id), build_conditioning(distorted, model))
+    pred = forward(model, apply_mask(clean, m, model.mask_token_id), build_conditioning(distorted, model))
     n_correct = int(((pred.probs.argmax(axis=-1) == clean) & (m == 1)).sum())
     losses, grads = masked_ce_loss(pred, clean, m)
     losses = losses.tolist()
@@ -387,13 +386,10 @@ def train(
     bit the same as accumulating example by example. Deterministic for a
     fixed seed.
     """
-    v = corpus.vocab_size
-    if sched.mask_token_id != v:
-        raise ValueError(f"mask_token_id must be vocab_size ({v}), got {sched.mask_token_id}")
     if sched.mode is MaskMode.CTF and freq.idf is None:
         raise ValueError("CTF mode needs a frequency table with idf populated")
     rng = np.random.default_rng(hyper.seed)
-    model = init_model(v, hyper.dim, hyper.radius, rng)
+    model = init_model(corpus.vocab_size, hyper.dim, hyper.radius, rng)
     n = corpus.num_docs
     history: list[EpochStats] = []
 
@@ -470,7 +466,7 @@ def read_checkpoint(path, magic: bytes, kind: str, shapes) -> tuple[int, list[np
 
 
 def save_predictor(model: PredictorModel, path) -> None:
-    header = (model.version, model.vocab_size, model.dim, model.radius)
+    header = (CHECKPOINT_VERSION, model.vocab_size, model.dim, model.radius)
     write_checkpoint(path, CHECKPOINT_MAGIC, header, [model.embedding, model.out_w, model.out_b])
 
 

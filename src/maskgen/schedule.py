@@ -2,10 +2,10 @@
 rescaling, Bernoulli mask sampling, and mask application.
 
 Step indexing runs i = 0..n_steps with i=0 fully masked and i=n_steps fully
-observed. Two conventions exist for the expected masked count at step i:
-COS uses T*cos(pi*i/(2N)), consistent with the per-token probability curve
-and decaying with progress; SIN uses T*sin(pi*i/(2N)), which rises instead.
-COS is the default; SIN is kept selectable for fidelity experiments.
+observed. The expected masked count at step i has one form, the cosine
+T*cos(pi*i/(2N)): the per-token probability curve times the length, so it
+decays with progress. A schedule is its step count and its mode; the mask
+token is the predictor's own (``PredictorModel.mask_token_id``).
 """
 
 from __future__ import annotations
@@ -22,19 +22,10 @@ class MaskMode(enum.Enum):
     CTF = "ctf"  # coarse-to-fine: rescale per-token by rarity
 
 
-class Convention(enum.Enum):
-    """Expected-masked-count convention (see module docstring)."""
-
-    COS = "cos"
-    SIN = "sin"
-
-
 @dataclass
 class ScheduleConfig:
     n_steps: int
     mode: MaskMode = MaskMode.UNIFORM_COSINE
-    convention: Convention = Convention.COS
-    mask_token_id: int = -1  # callers set this to vocab_size
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -60,15 +51,9 @@ def cosine_probability(i: int, n_steps: int) -> float:
     return math.cos(0.5 * math.pi * i / n_steps)
 
 
-def expected_masked_cosine(
-    i: int, n_steps: int, seq_len: int, convention: Convention = Convention.COS
-) -> float:
+def expected_masked_cosine(i: int, n_steps: int, seq_len: int) -> float:
     """Expected number of masked tokens at step i under the cosine schedule."""
-    if not 0 <= i <= n_steps:
-        raise ValueError(f"step {i} outside [0, {n_steps}]")
-    if convention is Convention.COS:
-        return seq_len * cosine_probability(i, n_steps)
-    return seq_len * math.sin(0.5 * math.pi * i / n_steps)
+    return seq_len * cosine_probability(i, n_steps)
 
 
 def scaled_clipped_probabilities(p_base: np.ndarray, expected_masked: float) -> np.ndarray:
@@ -93,12 +78,7 @@ def _p_base_total(p_base: np.ndarray) -> float:
     return total
 
 
-def ctf_probabilities(
-    p_base: np.ndarray,
-    i: int,
-    n_steps: int,
-    convention: Convention = Convention.COS,
-) -> np.ndarray:
+def ctf_probabilities(p_base: np.ndarray, i: int, n_steps: int) -> np.ndarray:
     """Coarse-to-fine per-token masking probabilities at step i.
 
     Matches the cosine schedule's expected masked count in aggregate while
@@ -106,20 +86,18 @@ def ctf_probabilities(
     Uniform p_base collapses this to the plain cosine schedule.
     """
     p_base = np.asarray(p_base, dtype=np.float64)
-    e_cos = expected_masked_cosine(i, n_steps, p_base.shape[0], convention)
+    e_cos = expected_masked_cosine(i, n_steps, p_base.shape[0])
     return scaled_clipped_probabilities(p_base, e_cos)
 
 
-def ctf_probability_table(
-    p_base: np.ndarray, n_steps: int, convention: Convention = Convention.COS
-) -> np.ndarray:
+def ctf_probability_table(p_base: np.ndarray, n_steps: int) -> np.ndarray:
     """(n_steps+1, T) table whose row i equals ``ctf_probabilities(p_base, i,
-    n_steps, convention)`` bit for bit: the same scalar division by the
-    p_base total, the same product and the same clip, for all steps at once.
+    n_steps)`` bit for bit: the same scalar division by the p_base total, the
+    same product and the same clip, for all steps at once.
     """
     p_base = np.asarray(p_base, dtype=np.float64)
     t = p_base.shape[0]
-    expected = np.array([expected_masked_cosine(i, n_steps, t, convention) for i in range(n_steps + 1)])
+    expected = np.array([expected_masked_cosine(i, n_steps, t) for i in range(n_steps + 1)])
     return np.minimum((expected / _p_base_total(p_base))[:, None] * p_base, 1.0)
 
 
@@ -140,9 +118,6 @@ def apply_mask(tokens: np.ndarray, m: np.ndarray, mask_token_id: int) -> np.ndar
     return np.where(m == 1, np.int64(mask_token_id), tokens)
 
 
-def dump_schedule_rows(config: ScheduleConfig, seq_len: int) -> list[tuple[int, float, str]]:
-    """Rows ``(step, expected_masked, convention)`` for CSV plotting."""
-    return [
-        (i, expected_masked_cosine(i, config.n_steps, seq_len, config.convention), config.convention.value)
-        for i in range(config.n_steps + 1)
-    ]
+def dump_schedule_rows(config: ScheduleConfig, seq_len: int) -> list[tuple[int, float]]:
+    """Rows ``(step, expected_masked)`` for CSV plotting."""
+    return [(i, expected_masked_cosine(i, config.n_steps, seq_len)) for i in range(config.n_steps + 1)]

@@ -173,7 +173,7 @@ def test_c06_decode_oracle_equivalence():
             model.out_w[:] = rng.normal(0, 1.0, size=model.out_w.shape)
             model.out_b[:] = rng.normal(0, 0.5, size=3)
             distorted = rng.integers(0, 3, size=3)
-            sched = ScheduleConfig(n_steps=2, mask_token_id=3)
+            sched = ScheduleConfig(n_steps=2)
             out, _ = decode(model, build_conditioning(distorted, model), sched)
             assert list(out) == oracle_decode(model, list(distorted), 2), f"case {seed}"
 

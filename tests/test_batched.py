@@ -27,7 +27,7 @@ def test_train_matches_frozen_oracle_at_default_shapes(mode):
     # it across threads.
     corpus = generate_corpus(64, 20, 96, 1.2, 1, seed=101)
     freq = frequency_table(corpus)
-    sched = ScheduleConfig(n_steps=10, mode=MaskMode(mode), mask_token_id=64)
+    sched = ScheduleConfig(n_steps=10, mode=MaskMode(mode))
     hyper = TrainConfig(lr=1.5, epochs=1, batch=8, rho=0.3, seed=7, dim=32, radius=1)
     model, history = train(corpus, freq, sched, hyper)
     frozen, frozen_history = oracle_train(corpus, freq, sched, hyper)

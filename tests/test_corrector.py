@@ -4,10 +4,11 @@ import math
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from helpers import central_differences, corrector_params, roc_auc, set_corrector_params
@@ -29,6 +30,7 @@ from maskgen.corrector import (
 )
 from maskgen.errors import NumericsError
 from maskgen.predictor import build_conditioning, init_model
+from maskgen.schedule import ScheduleConfig
 
 
 class TestCorruptForTraining:
@@ -197,7 +199,15 @@ class TestCorrect:
         out = correct(decoded, predictor, ctx, corrector, 1.0, rounds=5)
         np.testing.assert_array_equal(out, decoded)
 
-    def test_never_touches_unflagged_positions(self, monkeypatch):
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        theta=st.floats(0.0, 1.0),
+        rounds=st.integers(0, 4),
+        full=st.booleans(),
+    )
+    @example(seed=21, theta=0.4, rounds=3, full=False)
+    def test_never_touches_unflagged_positions(self, seed, theta, rounds, full):
         flagged_union = []
         real = corrector_mod.detect_and_remask
 
@@ -206,14 +216,18 @@ class TestCorrect:
             flagged_union.append(verdict.remask.copy())
             return verdict
 
-        monkeypatch.setattr(corrector_mod, "detect_and_remask", recording)
-        predictor, corrector, ctx, decoded = tiny_setup(21)
-        out = correct(decoded, predictor, ctx, corrector, 0.4, rounds=3)
+        predictor, corrector, ctx, decoded = tiny_setup(seed)
+        full_decode = ScheduleConfig(n_steps=3) if full else None
+        with mock.patch.object(corrector_mod, "detect_and_remask", recording):
+            out = correct(decoded, predictor, ctx, corrector, theta, rounds=rounds, full_decode=full_decode)
         union = np.zeros(6, dtype=bool)
         for remask in flagged_union:
             union |= remask == 1
         changed = out != decoded
         assert not changed[~union].any()
+        if rounds == 0:
+            assert not flagged_union
+            np.testing.assert_array_equal(out, decoded)
 
     def test_terminates_within_rounds(self):
         predictor, corrector, ctx, decoded = tiny_setup(22)
@@ -246,10 +260,8 @@ class TestCorrect:
         np.testing.assert_array_equal(out, cur)
 
     def test_full_decode_refill_variant(self):
-        from maskgen.schedule import ScheduleConfig
-
         predictor, corrector, ctx, decoded = tiny_setup(27)
-        sched = ScheduleConfig(n_steps=2, mask_token_id=4)
+        sched = ScheduleConfig(n_steps=2)
         out = correct(decoded, predictor, ctx, corrector, 0.3, rounds=2, full_decode=sched)
         assert out.shape == decoded.shape
         assert (out != 4).all()

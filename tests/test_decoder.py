@@ -19,7 +19,6 @@ from maskgen.decoder import decode, plan_open_counts
 from maskgen.errors import NumericsError
 from maskgen.predictor import build_conditioning, forward, init_model
 from maskgen.schedule import (
-    Convention,
     MaskMode,
     ScheduleConfig,
     ctf_probabilities,
@@ -33,7 +32,7 @@ def oracle_decode(model, distorted, n_steps, initial=None, p_base=None, trace=No
 
     ``initial`` pre-commits every position that does not hold the mask
     token; ``p_base`` switches to the coarse-to-fine plan and stay-open
-    score (COS convention). Every step runs a forward pass, whether or not
+    score. Every step runs a forward pass, whether or not
     it commits. When ``trace`` is a list, one ``(open_count,
     mean_confidence)`` pair per step is appended to it.
     """
@@ -108,11 +107,11 @@ def oracle_decode(model, distorted, n_steps, initial=None, p_base=None, trace=No
 
 class TestPlanOpenCounts:
     def test_single_step(self):
-        sched = ScheduleConfig(n_steps=1, mask_token_id=5)
+        sched = ScheduleConfig(n_steps=1)
         np.testing.assert_array_equal(plan_open_counts(sched, 5), [5, 0])
 
     def test_two_steps_ten_tokens(self):
-        sched = ScheduleConfig(n_steps=2, mask_token_id=10)
+        sched = ScheduleConfig(n_steps=2)
         np.testing.assert_array_equal(plan_open_counts(sched, 10), [10, 7, 0])
 
     def test_endpoints_and_strict_decrease(self):
@@ -120,8 +119,7 @@ class TestPlanOpenCounts:
         for _ in range(100):
             t = int(rng.integers(2, 200))
             n = int(rng.integers(1, t + 1))
-            conv = Convention.COS if rng.random() < 0.5 else Convention.SIN
-            sched = ScheduleConfig(n_steps=n, convention=conv, mask_token_id=t)
+            sched = ScheduleConfig(n_steps=n)
             counts = plan_open_counts(sched, t)
             assert counts[0] == t and counts[-1] == 0
             assert (np.diff(counts) < 0).all()
@@ -129,7 +127,7 @@ class TestPlanOpenCounts:
     def test_ctf_counts_match_expectation_sums(self):
         rng = np.random.default_rng(1)
         p_base = rng.uniform(0.05, 0.95, size=24)
-        sched = ScheduleConfig(n_steps=6, mode=MaskMode.CTF, mask_token_id=24)
+        sched = ScheduleConfig(n_steps=6, mode=MaskMode.CTF)
         counts = plan_open_counts(sched, 24, p_base)
         for i in range(1, 6):
             e_cos = 24 * math.cos(0.5 * math.pi * i / 6)
@@ -143,15 +141,14 @@ class TestPlanOpenCounts:
         t=st.integers(1, 48),
         data=st.data(),
         ctf=st.booleans(),
-        convention=st.sampled_from(list(Convention)),
     )
-    def test_strictly_decreasing_for_every_step_count(self, t, data, ctf, convention):
+    def test_strictly_decreasing_for_every_step_count(self, t, data, ctf):
         p_base = None
         if ctf:
             p_base = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=t, max_size=t)))
         mode = MaskMode.CTF if ctf else MaskMode.UNIFORM_COSINE
         for n in range(1, t + 1):
-            sched = ScheduleConfig(n_steps=n, mode=mode, convention=convention, mask_token_id=t)
+            sched = ScheduleConfig(n_steps=n, mode=mode)
             # a subnormal p_base total overflows the scale to inf; the clip at 1 absorbs it
             with np.errstate(over="ignore"):
                 counts = plan_open_counts(sched, t, p_base)
@@ -159,7 +156,7 @@ class TestPlanOpenCounts:
             assert (np.diff(counts) < 0).all(), (n, counts)
 
     def test_more_steps_than_tokens_rejected(self):
-        sched = ScheduleConfig(n_steps=8, mask_token_id=4)
+        sched = ScheduleConfig(n_steps=8)
         with pytest.raises(ValueError):
             plan_open_counts(sched, 4)
 
@@ -180,7 +177,7 @@ class TestDecode:
         model.out_w[:] = np.linspace(-1.0, 1.0, model.out_w.size).reshape(model.out_w.shape)
         model.out_b[:] = np.array([0.1, -0.2, 0.05])
         distorted = np.array([2, 0, 1])
-        sched = ScheduleConfig(n_steps=2, mask_token_id=3)
+        sched = ScheduleConfig(n_steps=2)
         out, _ = decode(model, build_conditioning(distorted, model), sched)
         assert list(out) == oracle_decode(model, list(distorted), 2)
 
@@ -188,7 +185,7 @@ class TestDecode:
         for seed in range(50):
             rng = np.random.default_rng(1000 + seed)
             model, distorted = make_case(rng)
-            sched = ScheduleConfig(n_steps=2, mask_token_id=3)
+            sched = ScheduleConfig(n_steps=2)
             out, _ = decode(model, build_conditioning(distorted, model), sched)
             assert list(out) == oracle_decode(model, list(distorted), 2), f"seed {seed}"
 
@@ -196,7 +193,7 @@ class TestDecode:
         rng = np.random.default_rng(2)
         model, distorted = make_case(rng, t_len=7, v=5, d=3, r=1)
         ctx = build_conditioning(distorted, model)
-        sched = ScheduleConfig(n_steps=1, mask_token_id=5)
+        sched = ScheduleConfig(n_steps=1)
         out, trace = decode(model, ctx, sched)
         single = forward(model, np.full(7, 5), ctx)
         np.testing.assert_array_equal(out, single.probs.argmax(axis=1))
@@ -206,7 +203,7 @@ class TestDecode:
         rng = np.random.default_rng(3)
         model, distorted = make_case(rng, t_len=5, v=4, d=2, r=1)
         ctx = build_conditioning(distorted, model)
-        sched = ScheduleConfig(n_steps=3, mask_token_id=4)
+        sched = ScheduleConfig(n_steps=3)
         fixed = np.array([1, 3, 0, 2, 2])
         out, trace = decode(model, ctx, sched, initial=fixed)
         np.testing.assert_array_equal(out, fixed)
@@ -217,7 +214,7 @@ class TestDecode:
         model, distorted = make_case(rng, t_len=20, v=6, d=3, r=2)
         ctx = build_conditioning(distorted, model)
         for n in (1, 3, 9, 20):
-            sched = ScheduleConfig(n_steps=n, mask_token_id=6)
+            sched = ScheduleConfig(n_steps=n)
             out, trace = decode(model, ctx, sched)
             assert (out != 6).all()
             assert len(trace) == n
@@ -234,7 +231,7 @@ class TestDecode:
         rng = np.random.default_rng(5)
         model, distorted = make_case(rng, t_len=16, v=5, d=3, r=1)
         ctx = build_conditioning(distorted, model)
-        out, _ = decode(model, ctx, ScheduleConfig(n_steps=8, mask_token_id=5))
+        out, _ = decode(model, ctx, ScheduleConfig(n_steps=8))
         seen.append(out)
         for before, after in zip(seen, seen[1:]):
             fixed = before != 5
@@ -245,16 +242,15 @@ class TestDecode:
         t=st.integers(1, 24),
         data=st.data(),
         ctf=st.booleans(),
-        convention=st.sampled_from(list(Convention)),
         seed=st.integers(0, 2**16),
     )
-    def test_each_step_commits_the_planned_count_and_keeps_commits(self, t, data, ctf, convention, seed):
+    def test_each_step_commits_the_planned_count_and_keeps_commits(self, t, data, ctf, seed):
         n = data.draw(st.integers(1, t))
         rng = np.random.default_rng(seed)
         model, distorted = make_case(rng, t_len=t, v=5, d=3, r=1)
         p_base = 1.0 - rng.random(t) if ctf else None  # in (0, 1]
         mode = MaskMode.CTF if ctf else MaskMode.UNIFORM_COSINE
-        sched = ScheduleConfig(n_steps=n, mode=mode, convention=convention, mask_token_id=5)
+        sched = ScheduleConfig(n_steps=n, mode=mode)
         inputs = []
         real_forward = decoder_mod.forward
 
@@ -277,7 +273,7 @@ class TestDecode:
         rng = np.random.default_rng(6)
         model, distorted = make_case(rng, t_len=12, v=4, d=2, r=1)
         ctx = build_conditioning(distorted, model)
-        sched = ScheduleConfig(n_steps=5, mask_token_id=4)
+        sched = ScheduleConfig(n_steps=5)
         a, _ = decode(model, ctx, sched)
         b, _ = decode(model, ctx, sched)
         np.testing.assert_array_equal(a, b)
@@ -286,7 +282,7 @@ class TestDecode:
         rng = np.random.default_rng(7)
         model, distorted = make_case(rng, t_len=12, v=4, d=2, r=1)
         ctx = build_conditioning(distorted, model)
-        sched = ScheduleConfig(n_steps=4, mask_token_id=4)
+        sched = ScheduleConfig(n_steps=4)
         a, _ = decode(model, ctx, sched, selection="sample", rng=np.random.default_rng(9), temperature=1.0)
         b, _ = decode(model, ctx, sched, selection="sample", rng=np.random.default_rng(9), temperature=1.0)
         np.testing.assert_array_equal(a, b)
@@ -297,7 +293,7 @@ class TestDecode:
         rng = np.random.default_rng(8)
         model, distorted = make_case(rng, t_len=6, v=4, d=2, r=1)
         ctx = build_conditioning(distorted, model)
-        sched = ScheduleConfig(n_steps=3, mode=MaskMode.CTF, mask_token_id=4)
+        sched = ScheduleConfig(n_steps=3, mode=MaskMode.CTF)
         with pytest.raises(ValueError):
             decode(model, ctx, sched)
 
@@ -320,7 +316,7 @@ class TestDecode:
             return real_forward(mdl, masked, c, positions)
 
         monkeypatch.setattr(decoder_mod, "forward", recording_forward)
-        sched = ScheduleConfig(n_steps=3, mode=MaskMode.CTF, mask_token_id=4)
+        sched = ScheduleConfig(n_steps=3, mode=MaskMode.CTF)
         decode(model, ctx, sched, p_base=p_base)
         committed_second = np.flatnonzero(seen[1] != 4)
         open_second = np.flatnonzero(seen[1] == 4)
@@ -346,7 +342,7 @@ class TestDecodeSkipsIdleSteps:
             model, distorted, initial, p_base = self.clamped_case(seed)
             n = 3 + seed % 4
             mode = MaskMode.CTF if p_base is not None else MaskMode.UNIFORM_COSINE
-            sched = ScheduleConfig(n_steps=n, mode=mode, mask_token_id=4)
+            sched = ScheduleConfig(n_steps=n, mode=mode)
             out, trace = decode(model, build_conditioning(distorted, model), sched, p_base=p_base, initial=initial)
             expected_trace = []
             expected = oracle_decode(model, list(distorted), n, initial=initial, p_base=p_base, trace=expected_trace)
@@ -369,7 +365,7 @@ class TestDecodeSkipsIdleSteps:
         model, distorted = make_case(rng, t_len=20, v=5, d=3, r=1)
         initial = rng.integers(0, 5, size=20)
         initial[[3, 11]] = 5
-        out, trace = decode(model, build_conditioning(distorted, model), ScheduleConfig(n_steps=12, mask_token_id=5),
+        out, trace = decode(model, build_conditioning(distorted, model), ScheduleConfig(n_steps=12),
                             initial=initial)
         assert len(trace) == 12
         assert 1 <= len(seen) <= 2  # one pass per step that commits
@@ -394,7 +390,7 @@ class TestDecodeSkipsIdleSteps:
         model, distorted = make_case(rng, t_len=10, v=4, d=2, r=1)
         initial = rng.integers(0, 4, size=10)
         initial[[2, 7]] = 4
-        sched = ScheduleConfig(n_steps=6, mask_token_id=4)
+        sched = ScheduleConfig(n_steps=6)
         _, trace = decode(model, build_conditioning(distorted, model), sched, selection="sample",
                           rng=np.random.default_rng(0), initial=initial)
         assert len(calls) == 6 and len(trace) == 6
@@ -414,27 +410,25 @@ class TestExactnessPins:
             assert part.shape == (positions.shape[0], 7)
             assert np.array_equal(part, full[positions])
 
-    @pytest.mark.parametrize("convention", [Convention.COS, Convention.SIN])
-    def test_ctf_table_rows_equal_ctf_probabilities(self, convention):
+    def test_ctf_table_rows_equal_ctf_probabilities(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             t = int(rng.integers(1, 120))
             n = int(rng.integers(1, 50))
             p_base = rng.uniform(1e-3, 1.0, size=t)
-            table = ctf_probability_table(p_base, n, convention)
+            table = ctf_probability_table(p_base, n)
             assert table.shape == (n + 1, t)
             for i in range(n + 1):
-                assert np.array_equal(table[i], ctf_probabilities(p_base, i, n, convention))
+                assert np.array_equal(table[i], ctf_probabilities(p_base, i, n))
 
-    @pytest.mark.parametrize("convention", [Convention.COS, Convention.SIN])
-    def test_ctf_plan_equals_plan_from_per_step_sums(self, convention):
+    def test_ctf_plan_equals_plan_from_per_step_sums(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             t = int(rng.integers(1, 200))
             n = int(rng.integers(1, min(t, 60) + 1))
             p_base = rng.uniform(1e-3, 1.0, size=t)
-            sched = ScheduleConfig(n_steps=n, mode=MaskMode.CTF, convention=convention, mask_token_id=t)
-            raw = [math.floor(float(ctf_probabilities(p_base, i, n, convention).sum()) + 0.5) for i in range(n + 1)]
+            sched = ScheduleConfig(n_steps=n, mode=MaskMode.CTF)
+            raw = [math.floor(float(ctf_probabilities(p_base, i, n).sum()) + 0.5) for i in range(n + 1)]
             expected = [0] * (n + 1)
             for i in range(n - 1, 0, -1):
                 expected[i] = max(expected[i + 1] + 1, min(raw[i], t - i))
@@ -456,7 +450,7 @@ class TestNonFinite:
     def test_decode_raises(self):
         model, ctx = self.nan_case()
         with pytest.raises(NumericsError):
-            decode(model, ctx, ScheduleConfig(n_steps=3, mask_token_id=4))
+            decode(model, ctx, ScheduleConfig(n_steps=3))
 
     def test_single_pass_refill_raises(self):
         model, ctx = self.nan_case()

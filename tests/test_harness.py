@@ -50,8 +50,10 @@ class TestConfig:
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="wibble"):
-            parse_config("seed = 1\nwibble = 2\n")
+        # the schedule convention key was removed; a config that still sets it is rejected
+        for line, key in (("wibble = 2", "wibble"), ("convention = cos", "convention")):
+            with pytest.raises(ConfigError, match=f"^{key}: unknown configuration key"):
+                parse_config(f"seed = 1\n{line}\n")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="epochs"):
@@ -358,17 +360,32 @@ class TestCli:
         assert cli_main(["eval", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "metrics.csv").exists()
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("seed = 1\nmask_mode = nope\n")
-        assert cli_main(["eval", "--config", str(bad)]) == 2
+        for line, key in (("mask_mode = nope", "mask_mode"), ("convention = cos", "convention")):
+            bad.write_text(f"seed = 1\n{line}\n")
+            assert cli_main(["eval", "--config", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+    @pytest.mark.parametrize("command", [
+        ["decode", "--model", "m.bin", "--input", "obs.txt", "--out", "out.txt"],
+        ["dump-schedule", "--n-steps", "4", "--seq-len", "10", "--out", "sched.csv"],
+        ["eval", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_convention_flag_is_usage_error(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(command + ["--convention", "cos"])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_dump_schedule(self, tmp_path):
         out = tmp_path / "sched.csv"
         assert cli_main(["dump-schedule", "--n-steps", "4", "--seq-len", "10", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "step,expected_masked,convention"
+        assert lines[0] == "# n_steps=4 seq_len=10"
+        assert lines[1] == "step,expected_masked"
+        assert lines[2] == "0,10.0"
         assert len(lines) == 7
 
 

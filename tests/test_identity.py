@@ -88,12 +88,11 @@ def oracle_train(corpus, freq, sched, hyper):
                 distorted = _oracle_substitute(clean, v, hyper.rho, rng)[0] if hyper.rho > 0 else clean.copy()
                 step = 0 if sched.n_steps == 1 else int(rng.integers(1, sched.n_steps))
                 if sched.mode is MaskMode.CTF:
-                    probs = ctf_probabilities(sequence_base_probabilities(freq, clean), step, sched.n_steps,
-                                              sched.convention)
+                    probs = ctf_probabilities(sequence_base_probabilities(freq, clean), step, sched.n_steps)
                 else:
                     probs = np.full(t, cosine_probability(step, sched.n_steps))
                 m = (rng.random(t) < probs).astype(np.int8)
-                masked = apply_mask(clean, m, sched.mask_token_id)
+                masked = apply_mask(clean, m, v)
                 loss, pred, e, w, b = _oracle_example(model, clean, distorted, masked, m)
                 g_e += e
                 g_w += w
@@ -170,7 +169,7 @@ def test_train_matches_frozen_oracle(mode, rho, n_steps, batch, radius, seed):
     # 10 docs: batches of 3, 4 and 7 leave a short last batch
     corpus = generate_corpus(8, 10, 12, 1.2, 1, seed=seed)
     freq = frequency_table(corpus)
-    sched = ScheduleConfig(n_steps=n_steps, mode=MaskMode(mode), mask_token_id=8)
+    sched = ScheduleConfig(n_steps=n_steps, mode=MaskMode(mode))
     hyper = TrainConfig(lr=0.9, epochs=2, batch=batch, rho=rho, seed=seed + 1, dim=3, radius=radius)
     model, history = train(corpus, freq, sched, hyper)
     frozen, frozen_history = oracle_train(corpus, freq, sched, hyper)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -19,6 +20,8 @@ from helpers import (
 from maskgen.corpus import Corpus, generate_corpus, frequency_table
 from maskgen.errors import NumericsError
 from maskgen.predictor import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     PredictorModel,
     TrainConfig,
     build_conditioning,
@@ -227,7 +230,7 @@ class TestMaskedCeLoss:
 
 
 def small_sched(vocab_size, n_steps=8):
-    return ScheduleConfig(n_steps=n_steps, mask_token_id=vocab_size)
+    return ScheduleConfig(n_steps=n_steps)
 
 
 class TestTrain:
@@ -270,7 +273,7 @@ class TestTrain:
     def test_ctf_mode_trains(self):
         corpus = generate_corpus(8, 16, 20, 1.2, 1, seed=9)
         freq = frequency_table(corpus)
-        sched = ScheduleConfig(n_steps=8, mode=MaskMode.CTF, mask_token_id=8)
+        sched = ScheduleConfig(n_steps=8, mode=MaskMode.CTF)
         cfg = TrainConfig(lr=0.8, epochs=2, batch=4, rho=0.3, seed=10, dim=4, radius=1)
         model, history = train(corpus, freq, sched, cfg)
         assert model.final_loss == history[-1].loss_per_token
@@ -290,13 +293,6 @@ class TestTrain:
         cfg = TrainConfig(lr=1e12, epochs=3, batch=4, rho=0.2, seed=14, dim=4, radius=1)
         with np.errstate(all="ignore"), pytest.raises(NumericsError):
             train(corpus, freq, small_sched(8), cfg)
-
-    def test_wrong_mask_token_rejected(self):
-        corpus = generate_corpus(8, 4, 8, 1.0, 0, seed=15)
-        freq = frequency_table(corpus)
-        with pytest.raises(ValueError):
-            train(corpus, freq, ScheduleConfig(n_steps=4, mask_token_id=99),
-                  TrainConfig(lr=0.1, epochs=1, batch=2, rho=0.1, seed=0))
 
     def test_learning_curve_csv(self, tmp_path):
         corpus = generate_corpus(8, 8, 12, 1.0, 0, seed=16)
@@ -320,7 +316,8 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.embedding, model.embedding)
         np.testing.assert_array_equal(loaded.out_w, model.out_w)
         np.testing.assert_array_equal(loaded.out_b, model.out_b)
-        assert loaded.radius == 2 and loaded.version == model.version
+        assert loaded.radius == 2
+        assert path.read_bytes()[:24] == CHECKPOINT_MAGIC + struct.pack("<4I", CHECKPOINT_VERSION, 6, 4, 2)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

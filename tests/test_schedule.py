@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from maskgen.schedule import (
-    Convention,
     MaskMode,
     ScheduleConfig,
     apply_mask,
@@ -45,17 +44,9 @@ class TestCosineProbability:
 
 
 class TestExpectedMaskedCosine:
-    def test_cos_convention_start(self):
-        assert expected_masked_cosine(0, 8, 100, Convention.COS) == 100.0
-
-    def test_sin_convention_start(self):
-        assert expected_masked_cosine(0, 8, 100, Convention.SIN) == 0.0
-
-    def test_conventions_agree_at_midpoint(self):
-        c = expected_masked_cosine(4, 8, 10, Convention.COS)
-        s = expected_masked_cosine(4, 8, 10, Convention.SIN)
-        assert c == pytest.approx(s, abs=1e-12)
-        assert c == pytest.approx(10 * math.sqrt(2) / 2, abs=1e-12)
+    def test_start_and_midpoint(self):
+        assert expected_masked_cosine(0, 8, 100) == 100.0
+        assert expected_masked_cosine(4, 8, 10) == pytest.approx(10 * math.sqrt(2) / 2, abs=1e-12)
 
 
 class TestCtfProbabilities:
@@ -184,5 +175,5 @@ class TestScheduleConfig:
     def test_dump_rows(self):
         rows = dump_schedule_rows(ScheduleConfig(n_steps=4), seq_len=10)
         assert len(rows) == 5
-        assert rows[0] == (0, 10.0, "cos")
+        assert rows[0] == (0, 10.0)
         assert rows[-1][1] == 0.0
