@@ -9,12 +9,9 @@ optionally re-masks suspicious tokens with a corruption-trained corrector.
 from .corpus import (
     Corpus,
     FrequencyTable,
-    base_mask_probabilities,
     corrupt_sequence,
     document_frequency,
-    frequency_table,
     generate_corpus,
-    idf_scores,
     load_corpus,
     save_corpus,
     sequence_base_probabilities,
@@ -49,7 +46,6 @@ from .predictor import (
 )
 from .schedule import (
     MaskMode,
-    MaskVector,
     ScheduleConfig,
     apply_mask,
     cosine_probability,

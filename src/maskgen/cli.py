@@ -52,7 +52,7 @@ def _cmd_gen_corpus(args) -> int:
     corpuslib.save_corpus(corpus, args.out)
     print(f"wrote {corpus.num_docs} sequences of length {corpus.seq_len} to {args.out}")
     if args.freq_csv:
-        corpuslib.save_frequency_csv(corpuslib.frequency_table(corpus), args.freq_csv)
+        corpuslib.save_frequency_csv(corpuslib.document_frequency(corpus), args.freq_csv)
         print(f"wrote frequency table to {args.freq_csv}")
     return 0
 
@@ -63,13 +63,7 @@ def _cmd_train(args) -> int:
     pipe = harness.build_pipeline(cfg, force_corrector=False)
     model_path = args.model_out or os.path.join(cfg.output_dir, "predictor.bin")
     predictor.save_predictor(pipe.model, model_path)
-    h = harness.config_hash(cfg)
-    predictor.write_learning_curve(
-        pipe.history, os.path.join(cfg.output_dir, "learning_curve.csv"), comment=f"config_hash={h}"
-    )
-    corpuslib.save_frequency_csv(
-        pipe.freq, os.path.join(cfg.output_dir, "frequency.csv"), comment=f"config_hash={h}"
-    )
+    harness.write_training_csvs(cfg.output_dir, harness.config_hash(cfg), pipe.history, pipe.freq)
     last = pipe.history[-1]
     print(f"trained predictor -> {model_path} (loss/token {last.loss_per_token:.4f}, masked acc {last.masked_acc:.4f})")
     return 0
@@ -109,19 +103,16 @@ def _cmd_decode(args) -> int:
         raise ConfigError("theta", f"must be in [0,1], got {args.theta}")
     model = _read("model", predictor.load_predictor, args.model)
     observations = _read("input", corpuslib.load_corpus, args.input)
-    if observations.vocab_size != model.vocab_size:
-        raise ConfigError("input", f"corpus vocab {observations.vocab_size} != model vocab {model.vocab_size}")
+    freq = _read("freq_csv", corpuslib.load_frequency_csv, args.freq_csv) if args.freq_csv else None
+    corrector = _read("corrector", corrlib.load_corrector, args.corrector) if args.corrector else None
+    for field, loaded in (("input", observations), ("freq_csv", freq), ("corrector", corrector)):
+        if loaded is not None and loaded.vocab_size != model.vocab_size:
+            raise ConfigError(field, f"vocab {loaded.vocab_size} != model vocab {model.vocab_size}")
     if not 1 <= args.n_steps <= observations.seq_len:
         raise ConfigError("n_steps", f"must lie in [1, seq_len {observations.seq_len}], got {args.n_steps}")
-    freq = _read("freq_csv", corpuslib.load_frequency_csv, args.freq_csv) if args.freq_csv else None
-    if freq is not None and freq.vocab_size != model.vocab_size:
-        raise ConfigError("freq_csv", f"table vocab {freq.vocab_size} != model vocab {model.vocab_size}")
     mode = MaskMode(args.mask_mode)
     if mode is MaskMode.CTF and freq is None:
         raise ConfigError("freq_csv", "--freq-csv is required for ctf decoding")
-    corrector = _read("corrector", corrlib.load_corrector, args.corrector) if args.corrector else None
-    if corrector is not None and corrector.vocab_size != model.vocab_size:
-        raise ConfigError("corrector", f"corrector vocab {corrector.vocab_size} != model vocab {model.vocab_size}")
     sched = ScheduleConfig(n_steps=args.n_steps, mode=mode)
     streams = np.random.SeedSequence(args.seed if args.seed is not None else 0).spawn(observations.num_docs)
     decoded = np.empty_like(observations.tokens)
@@ -129,7 +120,7 @@ def _cmd_decode(args) -> int:
     for j in range(observations.num_docs):
         rng = np.random.default_rng(streams[j])
         ctx = predictor.build_conditioning(observations.tokens[j], model)
-        p_base = corpuslib.sequence_base_probabilities(freq, observations.tokens[j]) if freq is not None else None
+        p_base = corpuslib.sequence_base_probabilities(freq, observations.tokens[j]) if mode is MaskMode.CTF else None
         out, last_trace = declib.decode(
             model, ctx, sched, selection=args.selection, rng=rng,
             temperature=args.temperature, p_base=p_base,
@@ -144,7 +135,10 @@ def _cmd_decode(args) -> int:
         corpuslib.Corpus(tokens=decoded, vocab_size=model.vocab_size, seed=args.seed or 0), args.out
     )
     if args.trace:
-        declib.write_decode_trace(last_trace, args.trace)
+        corpuslib.write_csv(
+            args.trace, "step,open_count,mean_confidence",
+            [(row.step, row.open_count, row.mean_confidence) for row in last_trace],
+        )
     print(f"decoded {observations.num_docs} sequences -> {args.out}")
     return 0
 
@@ -183,12 +177,10 @@ def _cmd_compare_modes(args) -> int:
 def _cmd_dump_schedule(args) -> int:
     for key in ("n_steps", "seq_len"):
         harness.check_value(key, getattr(args, key))
-    rows = dump_schedule_rows(ScheduleConfig(n_steps=args.n_steps), args.seq_len)
-    with open(args.out, "w") as fh:
-        fh.write(f"# n_steps={args.n_steps} seq_len={args.seq_len}\n")
-        fh.write("step,expected_masked\n")
-        for step, expected in rows:
-            fh.write(f"{step},{expected!r}\n")
+    corpuslib.write_csv(
+        args.out, "step,expected_masked", dump_schedule_rows(ScheduleConfig(n_steps=args.n_steps), args.seq_len),
+        [f"n_steps={args.n_steps} seq_len={args.seq_len}"],
+    )
     print(f"wrote schedule ({args.n_steps} steps) to {args.out}")
     return 0
 

@@ -1,6 +1,7 @@
 """Synthetic token corpora with controlled rarity skew, a substitution
 channel that emulates distorted observations, and document-frequency
-statistics (rarity scores and base masking probabilities derived from them).
+statistics (rarity scores and base masking probabilities derived from them),
+plus the text file formats, among them the one CSV writer.
 
 A corpus is a fixed-shape batch of token sequences: ``tokens`` is an
 ``(num_docs, seq_len)`` int64 array with ids in ``[0, vocab_size)``.
@@ -11,7 +12,8 @@ serial generation agree bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -44,17 +46,39 @@ class Corpus:
 
 @dataclass
 class FrequencyTable:
-    """Per-token document frequencies with derived rarity statistics.
+    """Per-token document frequencies with the rarity statistics derived
+    from them on construction.
 
     ``doc_freq[t]`` counts documents containing token ``t`` at least once
-    (never occurrence totals). ``idf`` and ``p_base`` are filled in by
-    :func:`idf_scores` and :func:`base_mask_probabilities`.
+    (never occurrence totals). ``idf`` is the rarity score
+    z = ln((num_docs+1)/(doc_freq+1)): never-seen tokens (f=0) get the
+    maximal score ln(num_docs+1), tokens present in every document get 0,
+    and z is strictly decreasing in f. ``p_base`` is the base masking
+    probability, the sigmoid of z standardized over the tokens present in
+    the corpus (f > 0); absent tokens go through the same affine map, which
+    puts them above every present token. If all present tokens share one
+    frequency every probability is 0.5.
+
+    Raises ``ValueError`` unless num_docs >= 1, every count lies in
+    [0, num_docs] and at least one token is present.
     """
 
     doc_freq: np.ndarray  # (vocab_size,) int64
     num_docs: int
-    idf: np.ndarray | None = None  # (vocab_size,) float64
-    p_base: np.ndarray | None = None  # (vocab_size,) float64, values in (0,1)
+    idf: np.ndarray = field(init=False)  # (vocab_size,) float64
+    p_base: np.ndarray = field(init=False)  # (vocab_size,) float64, values in (0,1)
+
+    def __post_init__(self):
+        if self.num_docs < 1:
+            raise ValueError(f"num_docs must be >= 1, got {self.num_docs}")
+        if self.doc_freq.min(initial=0) < 0 or self.doc_freq.max(initial=0) > self.num_docs:
+            raise ValueError(f"document frequencies must lie in [0, num_docs={self.num_docs}]")
+        present = self.doc_freq > 0
+        if not present.any():
+            raise ValueError("frequency table has no tokens present in the corpus")
+        self.idf = np.log((self.num_docs + 1) / (self.doc_freq.astype(np.float64) + 1.0))
+        zp = self.idf[present]
+        self.p_base = standardized_sigmoid(self.idf, mean=float(zp.mean()), std=float(zp.std()))
 
     @property
     def vocab_size(self) -> int:
@@ -194,23 +218,12 @@ def corrupt_sequence(clean: np.ndarray, vocab_size: int, rate: float, rng: np.ra
 
 
 def document_frequency(corpus: Corpus) -> FrequencyTable:
-    """Count, for every token id, the number of documents containing it."""
-    if corpus.num_docs == 0:
-        raise ValueError("document_frequency requires a non-empty corpus")
+    """Count, for every token id, the number of documents containing it,
+    and derive the table's rarity statistics."""
     counts = np.zeros(corpus.vocab_size, dtype=np.int64)
     for row in corpus.tokens:
         counts[np.unique(row)] += 1
     return FrequencyTable(doc_freq=counts, num_docs=corpus.num_docs)
-
-
-def idf_scores(table: FrequencyTable) -> FrequencyTable:
-    """Rarity score per token: z = ln((num_docs+1)/(doc_freq+1)).
-
-    Never-seen tokens (f=0) get the maximal score ln(num_docs+1); tokens
-    present in every document get 0. z is strictly decreasing in f.
-    """
-    z = np.log((table.num_docs + 1) / (table.doc_freq.astype(np.float64) + 1.0))
-    return replace(table, idf=z)
 
 
 def standardized_sigmoid(z: np.ndarray, mean: float | None = None, std: float | None = None) -> np.ndarray:
@@ -231,31 +244,6 @@ def standardized_sigmoid(z: np.ndarray, mean: float | None = None, std: float | 
     return 1.0 / (1.0 + np.exp(-normed))
 
 
-def base_mask_probabilities(table: FrequencyTable) -> FrequencyTable:
-    """Per-token base masking probability: sigmoid of the standardized
-    rarity score.
-
-    Standardization statistics come from the tokens actually present in
-    the corpus (f > 0); absent tokens are mapped through the same affine
-    transform, which puts them above every present token. If all present
-    tokens share one frequency the degenerate rule applies and every
-    probability is 0.5.
-    """
-    if table.idf is None:
-        raise ValueError("idf must be populated first (call idf_scores)")
-    present = table.doc_freq > 0
-    if not present.any():
-        raise ValueError("frequency table has no tokens present in the corpus")
-    zp = table.idf[present]
-    p = standardized_sigmoid(table.idf, mean=float(zp.mean()), std=float(zp.std()))
-    return replace(table, p_base=p)
-
-
-def frequency_table(corpus: Corpus) -> FrequencyTable:
-    """document_frequency + idf_scores + base_mask_probabilities in one go."""
-    return base_mask_probabilities(idf_scores(document_frequency(corpus)))
-
-
 def sequence_base_probabilities(table: FrequencyTable, tokens: np.ndarray) -> np.ndarray:
     """Per-position base masking probabilities for one sequence.
 
@@ -263,8 +251,6 @@ def sequence_base_probabilities(table: FrequencyTable, tokens: np.ndarray) -> np
     positions of this sequence (population std), then squashed. This is
     the vector the coarse-to-fine schedule rescales.
     """
-    if table.idf is None:
-        raise ValueError("idf must be populated first (call idf_scores)")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.min(initial=0) < 0 or (tokens.size and tokens.max() >= table.vocab_size):
         raise ValueError("token id outside [0, vocab_size)")
@@ -273,6 +259,19 @@ def sequence_base_probabilities(table: FrequencyTable, tokens: np.ndarray) -> np
 
 # ---------------------------------------------------------------------------
 # File formats
+
+
+def write_csv(path, header: str, rows: Iterable[Iterable], comments: Iterable[str] = ()) -> None:
+    """The one CSV writer: a ``# <comment>`` line per comment, the header
+    row, then one line per row. Floats, numpy ones included, are written as
+    ``repr(float(v))`` so they parse back bit for bit; everything else as
+    ``str(v)``."""
+    with open(path, "w") as fh:
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row) + "\n")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -302,25 +301,17 @@ def load_corpus(path) -> Corpus:
 
 
 def save_frequency_csv(table: FrequencyTable, path, comment: str | None = None) -> None:
-    """CSV export ``token,f,z,p_base`` (z/p_base blank when unpopulated).
-
-    num_docs rides along as a comment so the table round-trips.
-    """
-    with open(path, "w") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        fh.write(f"# num_docs={table.num_docs}\n")
-        fh.write("token,f,z,p_base\n")
-        for t in range(table.vocab_size):
-            z = "" if table.idf is None else repr(float(table.idf[t]))
-            p = "" if table.p_base is None else repr(float(table.p_base[t]))
-            fh.write(f"{t},{int(table.doc_freq[t])},{z},{p}\n")
+    """CSV export ``token,f,z,p_base``; num_docs rides along as a comment
+    so the table round-trips."""
+    comments = ([] if comment is None else [comment]) + [f"num_docs={table.num_docs}"]
+    rows = zip(range(table.vocab_size), table.doc_freq, table.idf, table.p_base)
+    write_csv(path, "token,f,z,p_base", rows, comments)
 
 
 def load_frequency_csv(path) -> FrequencyTable:
     """Rebuild a table from the CSV export; z and p_base are recomputed
     from f and num_docs rather than parsed, so derived values always match
-    the current formulas."""
+    the current formulas. A malformed file raises ``ValueError``."""
     num_docs = None
     counts: list[int] = []
     with open(path) as fh:
@@ -332,11 +323,10 @@ def load_frequency_csv(path) -> FrequencyTable:
                 continue
             if not line or line.startswith("token,"):
                 continue
-            parts = line.split(",")
-            if int(parts[0]) != len(counts):
-                raise ValueError(f"frequency CSV rows out of order at token {parts[0]}")
-            counts.append(int(parts[1]))
+            token, f, *_ = line.split(",")
+            if int(token) != len(counts):
+                raise ValueError(f"frequency CSV rows out of order at token {token}")
+            counts.append(int(f))
     if num_docs is None:
         raise ValueError("frequency CSV is missing the '# num_docs=' comment")
-    table = FrequencyTable(doc_freq=np.array(counts, dtype=np.int64), num_docs=num_docs)
-    return base_mask_probabilities(idf_scores(table))
+    return FrequencyTable(doc_freq=np.array(counts, dtype=np.int64), num_docs=num_docs)

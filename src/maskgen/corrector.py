@@ -88,17 +88,16 @@ def corrupt_for_training(
     vocab_size: int,
     max_rate: float,
     rng: np.random.Generator,
-    rate: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Substitute a random fraction of positions and return the labels.
 
-    The fraction is drawn uniformly from (0, max_rate] per call unless
-    ``rate`` pins it. Substituted positions always receive a different
-    token and carry label 1.
+    The fraction is drawn uniformly from (0, max_rate] per call.
+    Substituted positions always receive a different token and carry
+    label 1.
     """
     if not 0.0 < max_rate <= 1.0:
         raise ValueError(f"max_rate must be in (0, 1], got {max_rate}")
-    u = float(rng.uniform(0.0, max_rate)) if rate is None else float(rate)
+    u = float(rng.uniform(0.0, max_rate))
     corrupted, hit = substitute(clean, vocab_size, u, rng)
     return corrupted, hit.astype(np.int8)
 

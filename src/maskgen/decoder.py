@@ -66,14 +66,10 @@ def plan_open_counts(
     return np.array(counts, dtype=np.int64)
 
 
-def _choose(
-    probs: np.ndarray,
-    selection: str,
-    temperature: float,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Token choice per open position: argmax, or temperature sampling."""
-    if selection == "greedy" or temperature <= 0.0:
+def _choose(probs: np.ndarray, temperature: float, rng: np.random.Generator | None) -> np.ndarray:
+    """Token choice per open position by temperature sampling; argmax at
+    temperature 0."""
+    if temperature <= 0.0:
         return probs.argmax(axis=1)
     if rng is None:
         raise ValueError("sample selection needs an rng")
@@ -148,7 +144,7 @@ def decode(
             raise NumericsError(f"non-finite probabilities at decode step {i}")
         if selection == "sample":
             step_temp = temperature * (1.0 - (i + 1) / n)
-            chosen = _choose(probs, selection, step_temp, rng)
+            chosen = _choose(probs, step_temp, rng)
         else:
             chosen = probs.argmax(axis=1)
         conf = probs[np.arange(open_idx.shape[0]), chosen]
@@ -171,13 +167,3 @@ def decode(
 
     assert open_idx.shape[0] == 0
     return current, trace
-
-
-def write_decode_trace(trace: list[StepTrace], path, comment: str | None = None) -> None:
-    """CSV ``step,open_count,mean_confidence``."""
-    with open(path, "w") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        fh.write("step,open_count,mean_confidence\n")
-        for row in trace:
-            fh.write(f"{row.step},{row.open_count},{row.mean_confidence!r}\n")

@@ -19,9 +19,17 @@ from typing import Iterable
 
 import numpy as np
 
-from . import corpus as corpuslib
 from .corrector import CorrectorEpochStats, CorrectorModel, CorrectorTrainConfig, correct, train_corrector
-from .corpus import Corpus, FrequencyTable, corrupt_sequence, frequency_table, generate_corpus, sequence_base_probabilities
+from .corpus import (
+    Corpus,
+    FrequencyTable,
+    corrupt_sequence,
+    document_frequency,
+    generate_corpus,
+    save_frequency_csv,
+    sequence_base_probabilities,
+    write_csv,
+)
 from .decoder import StepTrace, decode
 from .errors import ConfigError
 from .predictor import (
@@ -30,7 +38,6 @@ from .predictor import (
     TrainConfig,
     build_conditioning,
     train,
-    write_learning_curve,
 )
 from .schedule import MaskMode, ScheduleConfig
 
@@ -166,13 +173,17 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def write_csv(path, header: str, rows: Iterable[tuple], cfg_hash: str) -> None:
-    """All harness CSVs: config-hash comment, header row, repr-formatted floats."""
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+def write_training_csvs(out: str, cfg_hash: str, history: list[EpochStats], freq: FrequencyTable) -> None:
+    """``learning_curve.csv`` (``epoch,loss,masked_acc``, loss per masked
+    token) and ``frequency.csv`` of a trained predictor, as ``eval`` and
+    ``train`` write them."""
+    write_csv(
+        os.path.join(out, "learning_curve.csv"),
+        "epoch,loss,masked_acc",
+        [(row.epoch, row.loss_per_token, row.masked_acc) for row in history],
+        [f"config_hash={cfg_hash}"],
+    )
+    save_frequency_csv(freq, os.path.join(out, "frequency.csv"), comment=f"config_hash={cfg_hash}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +257,7 @@ def evaluate(
     for j in range(test_corpus.num_docs):
         rng = np.random.default_rng(streams[j])
         clean = test_corpus.tokens[j]
-        if cfg.rho > 0:
-            distorted = corrupt_sequence(clean, test_corpus.vocab_size, cfg.rho, rng)
-        else:
-            distorted = clean.copy()
+        distorted = corrupt_sequence(clean, test_corpus.vocab_size, cfg.rho, rng)
         ctx = build_conditioning(distorted, model)
         p_base = sequence_base_probabilities(freq, distorted) if sched.mode is MaskMode.CTF else None
         decoded, trace = decode(model, ctx, sched, p_base=p_base)
@@ -326,7 +334,7 @@ def build_pipeline(cfg: ExperimentConfig, force_corrector: bool | None = None) -
     )
     train_corpus = replace(docs, tokens=docs.tokens[: cfg.num_docs])
     test_corpus = replace(docs, tokens=docs.tokens[cfg.num_docs :])
-    freq = frequency_table(train_corpus)
+    freq = document_frequency(train_corpus)
     sched, model, history = _fit_predictor(cfg, train_corpus, freq)
     use_corr = cfg.use_corrector if force_corrector is None else force_corrector
     corrector = fit_corrector(cfg, train_corpus)[0] if use_corr else None
@@ -378,7 +386,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Metrics
         os.path.join(out, "metrics.csv"),
         "overall_accuracy,exact_match,mean_edit_distance",
         [(report.overall_accuracy, report.exact_match, report.mean_edit_distance)],
-        h,
+        [f"config_hash={h}"],
     )
     token_deciles = frequency_deciles(pipe.freq)
     write_csv(
@@ -388,16 +396,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Metrics
             (d, int((token_deciles == d).sum()), report.decile_counts[d], report.decile_accuracy[d])
             for d in range(10)
         ],
-        h,
+        [f"config_hash={h}"],
     )
     write_csv(
         os.path.join(out, "decode_trace.csv"),
         "step,open_count,mean_confidence",
         report.step_trace,
-        h,
+        [f"config_hash={h}"],
     )
-    write_learning_curve(pipe.history, os.path.join(out, "learning_curve.csv"), comment=f"config_hash={h}")
-    corpuslib.save_frequency_csv(pipe.freq, os.path.join(out, "frequency.csv"), comment=f"config_hash={h}")
+    write_training_csvs(out, h, pipe.history, pipe.freq)
     return report
 
 
@@ -419,7 +426,7 @@ def ablate_steps(cfg: ExperimentConfig, steps: Iterable[int] | None = None, out_
         sched_n = replace(pipe.sched, n_steps=int(n))
         report = evaluate(pipe.model, pipe.test_corpus, pipe.freq, sched_n, cfg, pipe.eval_seed, pipe.corrector)
         rows.append((int(n), report.overall_accuracy, report.mean_edit_distance))
-    write_csv(os.path.join(out, "ablate_steps.csv"), "n_steps,accuracy,edit_distance", rows, config_hash(cfg))
+    write_csv(os.path.join(out, "ablate_steps.csv"), "n_steps,accuracy,edit_distance", rows, [f"config_hash={config_hash(cfg)}"])
     return rows
 
 
@@ -466,12 +473,12 @@ def compare_masking_modes(cfg: ExperimentConfig, out_dir: str | None = None) -> 
         os.path.join(out, "compare_modes.csv"),
         "seed,mask_mode,corrector,overall_accuracy,exact_match,mean_edit_distance,bottom_decile_accuracy,bottom_decile_count",
         summary_rows,
-        h,
+        [f"config_hash={h}"],
     )
     write_csv(
         os.path.join(out, "compare_modes_deciles.csv"),
         "seed,mask_mode,corrector,decile,position_count,accuracy",
         decile_rows,
-        h,
+        [f"config_hash={h}"],
     )
     return results

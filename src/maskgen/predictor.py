@@ -58,7 +58,6 @@ class PredictorModel:
     out_w: np.ndarray  # (D*(2r+1), V)
     out_b: np.ndarray  # (V,)
     radius: int
-    final_loss: float | None = None  # mean masked CE of the last epoch; not serialized
 
     @property
     def vocab_size(self) -> int:
@@ -340,19 +339,18 @@ def _train_batch(
     """
     v, t = corpus.vocab_size, corpus.seq_len
     clean = corpus.tokens[idx]
-    distorted = clean.copy()
+    distorted = np.empty_like(clean)
     m = np.empty(clean.shape, dtype=np.int8)
     steps = []
     for b in range(len(idx)):
-        if hyper.rho > 0:
-            distorted[b] = corrupt_sequence(clean[b], v, hyper.rho, rng)
+        distorted[b] = corrupt_sequence(clean[b], v, hyper.rho, rng)
         step = _sample_step(sched.n_steps, rng)
         if sched.mode is MaskMode.CTF:
             p_base = sequence_base_probabilities(freq, clean[b])
             probs = ctf_probabilities(p_base, step, sched.n_steps)
         else:
             probs = np.full(t, cosine_probability(step, sched.n_steps))
-        m[b] = sample_mask(probs, rng).m
+        m[b] = sample_mask(probs, rng)
         steps.append(step)
     pred = forward(model, apply_mask(clean, m, model.mask_token_id), build_conditioning(distorted, model))
     n_correct = int(((pred.probs.argmax(axis=-1) == clean) & (m == 1)).sum())
@@ -386,8 +384,6 @@ def train(
     bit the same as accumulating example by example. Deterministic for a
     fixed seed.
     """
-    if sched.mode is MaskMode.CTF and freq.idf is None:
-        raise ValueError("CTF mode needs a frequency table with idf populated")
     rng = np.random.default_rng(hyper.seed)
     model = init_model(corpus.vocab_size, hyper.dim, hyper.radius, rng)
     n = corpus.num_docs
@@ -409,18 +405,7 @@ def train(
         per_token = epoch_loss / epoch_masked if epoch_masked else 0.0
         acc = epoch_correct / epoch_masked if epoch_masked else 0.0
         history.append(EpochStats(epoch=epoch, loss_sum=epoch_loss, loss_per_token=per_token, masked_acc=acc))
-    model.final_loss = history[-1].loss_per_token if history else None
     return model, history
-
-
-def write_learning_curve(history: list[EpochStats], path, comment: str | None = None) -> None:
-    """CSV ``epoch,loss,masked_acc``; loss is the per-masked-token mean."""
-    with open(path, "w") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        fh.write("epoch,loss,masked_acc\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.loss_per_token!r},{row.masked_acc!r}\n")
 
 
 # ---------------------------------------------------------------------------

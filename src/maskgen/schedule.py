@@ -32,13 +32,6 @@ class ScheduleConfig:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
 
-@dataclass
-class MaskVector:
-    """Sampled binary mask."""
-
-    m: np.ndarray  # (T,) int8 in {0,1}
-
-
 def cosine_probability(i: int, n_steps: int) -> float:
     """Masking probability at step i of n_steps: cos(pi/2 * i/N).
 
@@ -101,12 +94,12 @@ def ctf_probability_table(p_base: np.ndarray, n_steps: int) -> np.ndarray:
     return np.minimum((expected / _p_base_total(p_base))[:, None] * p_base, 1.0)
 
 
-def sample_mask(probs: np.ndarray, rng: np.random.Generator) -> MaskVector:
-    """Independent Bernoulli draw per position."""
+def sample_mask(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(T,) int8 mask in {0,1}: an independent Bernoulli draw per position."""
     probs = np.asarray(probs, dtype=np.float64)
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError("mask probabilities must lie in [0, 1]")
-    return MaskVector(m=(rng.random(probs.shape[0]) < probs).astype(np.int8))
+    return (rng.random(probs.shape[0]) < probs).astype(np.int8)
 
 
 def apply_mask(tokens: np.ndarray, m: np.ndarray, mask_token_id: int) -> np.ndarray:

@@ -14,13 +14,7 @@ from dataclasses import replace
 import numpy as np
 from test_decoder import oracle_decode
 
-from maskgen.corpus import (
-    base_mask_probabilities,
-    corrupt_sequence,
-    document_frequency,
-    generate_corpus,
-    idf_scores,
-)
+from maskgen.corpus import FrequencyTable, corrupt_sequence, document_frequency, generate_corpus
 from maskgen.corrector import (
     CorrectorTrainConfig,
     correct,
@@ -87,7 +81,7 @@ def test_c02_ctf_algebra():
 
 def test_c03_idf_correctness():
     with criterion(3, "document-frequency scores and mask priors", 30.0):
-        table = base_mask_probabilities(idf_scores(document_frequency(hand_corpus())))
+        table = document_frequency(hand_corpus())
         assert list(table.doc_freq) == [0, 1, 2, 2]
         np.testing.assert_allclose(
             table.idf,
@@ -100,8 +94,6 @@ def test_c03_idf_correctness():
             atol=1e-12,
         )
         # monotonicity (rarer => higher prior) over 10^4 random tables
-        from maskgen.corpus import FrequencyTable
-
         rng = np.random.default_rng(1)
         checked = 0
         while checked < 10_000:
@@ -111,7 +103,7 @@ def test_c03_idf_correctness():
             present = f > 0
             if not present.any():
                 continue
-            table = base_mask_probabilities(idf_scores(FrequencyTable(doc_freq=f, num_docs=n_docs)))
+            table = FrequencyTable(doc_freq=f, num_docs=n_docs)
             assert (np.diff(table.idf[np.argsort(f, kind="stable")]) <= 1e-15).all()
             if table.idf[present].std() > 0.0:
                 order = np.argsort(f, kind="stable")
@@ -153,14 +145,14 @@ def test_c05_mask_sampling_statistics():
     with criterion(5, "Bernoulli mask statistics and round trip", 30.0):
         rng = np.random.default_rng(3)
         probs = rng.uniform(0.0, 1.0, size=100_000)
-        mv = sample_mask(probs, np.random.default_rng(4))
+        m = sample_mask(probs, np.random.default_rng(4))
         sigma = math.sqrt((probs * (1.0 - probs)).sum())
-        assert abs(mv.m.sum() - probs.sum()) <= 3 * sigma
+        assert abs(m.sum() - probs.sum()) <= 3 * sigma
 
         x = rng.integers(0, 32, size=100_000)
-        masked = apply_mask(x, mv.m, 32)
-        assert (masked[mv.m == 1] == 32).all()
-        restored = np.where(mv.m == 1, x, masked)
+        masked = apply_mask(x, m, 32)
+        assert (masked[m == 1] == 32).all()
+        restored = np.where(m == 1, x, masked)
         np.testing.assert_array_equal(restored, x)
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_identity import _bits, oracle_train
 
-from maskgen.corpus import frequency_table, generate_corpus
+from maskgen.corpus import document_frequency, generate_corpus
 from maskgen.predictor import TrainConfig, build_conditioning, forward, init_model, masked_ce_loss, train
 from maskgen.schedule import MaskMode, ScheduleConfig
 
@@ -26,7 +26,7 @@ def test_train_matches_frozen_oracle_at_default_shapes(mode):
     # 768 rows, large enough for OpenBLAS to pick other kernels or to split
     # it across threads.
     corpus = generate_corpus(64, 20, 96, 1.2, 1, seed=101)
-    freq = frequency_table(corpus)
+    freq = document_frequency(corpus)
     sched = ScheduleConfig(n_steps=10, mode=MaskMode(mode))
     hyper = TrainConfig(lr=1.5, epochs=1, batch=8, rho=0.3, seed=7, dim=32, radius=1)
     model, history = train(corpus, freq, sched, hyper)

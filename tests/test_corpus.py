@@ -1,8 +1,13 @@
-"""Corpus generation, the substitution channel, and frequency statistics."""
+"""Corpus generation, the substitution channel, frequency statistics and
+the file formats."""
 
+import ast
 import math
 import os
+import string
+import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +17,9 @@ from hypothesis import strategies as st
 from maskgen.corpus import (
     Corpus,
     FrequencyTable,
-    base_mask_probabilities,
     corrupt_sequence,
     document_frequency,
-    frequency_table,
     generate_corpus,
-    idf_scores,
     load_corpus,
     load_frequency_csv,
     save_corpus,
@@ -25,6 +27,7 @@ from maskgen.corpus import (
     sequence_base_probabilities,
     standardized_sigmoid,
     substitute,
+    write_csv,
     zipf_weights,
 )
 from maskgen.corrector import corrupt_for_training
@@ -159,11 +162,17 @@ class TestSubstitute:
         assert out.min(initial=0) >= 0 and out.max(initial=0) < vocab_size
         if rate == 1.0:
             assert hit.all()
+        if rate == 0.0:
+            assert not hit.any()  # rate 0 copies the input
         # both channels are this one: same draws, same output
         np.testing.assert_array_equal(corrupt_sequence(clean, vocab_size, rate, np.random.default_rng(seed)), out)
-        pinned, labels = corrupt_for_training(clean, vocab_size, 1.0, np.random.default_rng(seed), rate=rate)
-        np.testing.assert_array_equal(pinned, out)
-        np.testing.assert_array_equal(labels, hit.astype(np.int8))
+        # the corrector's training corruption is this channel at a rate it
+        # draws first from (0, max_rate]
+        rng = np.random.default_rng(seed)
+        drawn = substitute(clean, vocab_size, rng.uniform(0.0, 1.0), rng)
+        corrupted, labels = corrupt_for_training(clean, vocab_size, 1.0, np.random.default_rng(seed))
+        np.testing.assert_array_equal(corrupted, drawn[0])
+        np.testing.assert_array_equal(labels, drawn[1].astype(np.int8))
 
 
 class TestDocumentFrequency:
@@ -200,18 +209,18 @@ class TestDocumentFrequency:
 class TestIdfScores:
     def test_present_everywhere_scores_zero(self):
         table = FrequencyTable(doc_freq=np.array([9]), num_docs=9)
-        assert idf_scores(table).idf[0] == 0.0
+        assert table.idf[0] == 0.0
 
     def test_absent_token_scores_log_n_plus_one(self):
-        table = FrequencyTable(doc_freq=np.array([0]), num_docs=9)
-        assert idf_scores(table).idf[0] == pytest.approx(math.log(10), abs=1e-15)
+        table = FrequencyTable(doc_freq=np.array([0, 1]), num_docs=9)
+        assert table.idf[0] == pytest.approx(math.log(10), abs=1e-15)
 
     def test_direct_formula_value(self):
         table = FrequencyTable(doc_freq=np.array([4]), num_docs=9)
-        assert idf_scores(table).idf[0] == pytest.approx(math.log(2), abs=1e-15)
+        assert table.idf[0] == pytest.approx(math.log(2), abs=1e-15)
 
     def test_strictly_decreasing_in_frequency(self):
-        table = idf_scores(FrequencyTable(doc_freq=np.arange(11), num_docs=10))
+        table = FrequencyTable(doc_freq=np.arange(11), num_docs=10)
         assert (np.diff(table.idf) < 0).all()
 
 
@@ -219,13 +228,12 @@ class TestBaseMaskProbabilities:
     def test_score_at_mean_gives_half(self):
         # ln(f+1) arithmetic progression puts the middle token's score at
         # the mean: f = (1, 3, 7) -> z = (2ln2, ln2, 0)
-        table = idf_scores(FrequencyTable(doc_freq=np.array([1, 3, 7]), num_docs=7))
-        p = base_mask_probabilities(table).p_base
+        p = FrequencyTable(doc_freq=np.array([1, 3, 7]), num_docs=7).p_base
         assert p[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate_std_gives_half_everywhere(self):
-        table = idf_scores(FrequencyTable(doc_freq=np.array([4, 4, 4]), num_docs=8))
-        assert np.all(base_mask_probabilities(table).p_base == 0.5)
+        table = FrequencyTable(doc_freq=np.array([4, 4, 4]), num_docs=8)
+        assert np.all(table.p_base == 0.5)
 
     def test_standardized_sigmoid_hand_values(self):
         # z = [0,1,2], population std sqrt(2/3)
@@ -235,7 +243,7 @@ class TestBaseMaskProbabilities:
 
     def test_hand_corpus_values(self):
         # f = [0,1,2,2], N=3; statistics over the present tokens {1,2,3}
-        table = base_mask_probabilities(idf_scores(document_frequency(hand_corpus())))
+        table = document_frequency(hand_corpus())
         np.testing.assert_allclose(
             table.idf,
             [math.log(4.0), math.log(2.0), math.log(4.0 / 3.0), math.log(4.0 / 3.0)],
@@ -248,7 +256,7 @@ class TestBaseMaskProbabilities:
         )
 
     def test_absent_tokens_rank_highest(self):
-        table = base_mask_probabilities(idf_scores(FrequencyTable(doc_freq=np.array([0, 2, 5]), num_docs=6)))
+        table = FrequencyTable(doc_freq=np.array([0, 2, 5]), num_docs=6)
         assert table.p_base[0] == table.p_base.max()
 
     def test_rarity_monotonicity_random_tables(self):
@@ -259,7 +267,7 @@ class TestBaseMaskProbabilities:
             f = rng.integers(0, n_docs + 1, size=v)
             if not (f > 0).any():
                 continue
-            table = base_mask_probabilities(idf_scores(FrequencyTable(doc_freq=f, num_docs=n_docs)))
+            table = FrequencyTable(doc_freq=f, num_docs=n_docs)
             zp = table.idf[f > 0]
             if zp.std() == 0.0:
                 continue  # degenerate rule maps everything to 0.5
@@ -268,24 +276,24 @@ class TestBaseMaskProbabilities:
             distinct = np.diff(fs) > 0
             assert (np.diff(ps)[distinct] < 0).all()
 
-    def test_requires_idf(self):
-        with pytest.raises(ValueError):
-            base_mask_probabilities(FrequencyTable(doc_freq=np.array([1]), num_docs=2))
+    def test_no_present_token_raises(self):
+        with pytest.raises(ValueError, match="no tokens present"):
+            FrequencyTable(doc_freq=np.array([0, 0]), num_docs=2)
 
 
 class TestSequenceBaseProbabilities:
     def test_constant_sequence_gives_half(self):
-        table = idf_scores(document_frequency(hand_corpus()))
+        table = document_frequency(hand_corpus())
         p = sequence_base_probabilities(table, np.array([2, 2, 2, 2]))
         assert np.all(p == 0.5)
 
     def test_rarer_positions_get_higher_probability(self):
-        table = idf_scores(document_frequency(hand_corpus()))
+        table = document_frequency(hand_corpus())
         p = sequence_base_probabilities(table, np.array([1, 2, 3]))
         assert p[0] > p[1] == p[2]
 
     def test_out_of_range_token_rejected(self):
-        table = idf_scores(document_frequency(hand_corpus()))
+        table = document_frequency(hand_corpus())
         with pytest.raises(ValueError):
             sequence_base_probabilities(table, np.array([4]))
 
@@ -337,7 +345,7 @@ class TestFrequencyCsv:
         seed=st.integers(0, 2**62),
     )
     def test_round_trip(self, v, t, n, seed):
-        table = frequency_table(generate_corpus(v, n, t, 1.1, 0, seed=seed))
+        table = document_frequency(generate_corpus(v, n, t, 1.1, 0, seed=seed))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "freq.csv")
             save_frequency_csv(table, path, comment="config_hash=abc")
@@ -349,8 +357,69 @@ class TestFrequencyCsv:
         assert loaded.p_base.tobytes() == table.p_base.tobytes()
 
     def test_header_row_present(self, tmp_path):
-        table = frequency_table(hand_corpus())
+        table = document_frequency(hand_corpus())
         path = tmp_path / "freq.csv"
         save_frequency_csv(table, path)
         lines = path.read_text().splitlines()
         assert lines[1] == "token,f,z,p_base"
+
+
+class TestWriteCsv:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        comments=st.lists(st.text(string.ascii_letters + string.digits + "=_ .", max_size=12), max_size=3),
+        rows=st.lists(
+            st.tuples(
+                st.integers(-(2**40), 2**40),
+                st.floats(allow_nan=False),
+                st.floats(allow_nan=False).map(np.float64),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_comments_header_then_exact_floats(self, comments, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            write_csv(path, "k,x,y", rows, comments)
+            text = Path(path).read_text()
+        assert "np." not in text
+        lines = text.splitlines()
+        assert lines[: len(comments)] == [f"# {c}" for c in comments]
+        assert lines[len(comments)] == "k,x,y"
+        body = [line.split(",") for line in lines[len(comments) + 1 :]]
+        assert len(body) == len(rows)
+        for (k, x, y), (sk, sx, sy) in zip(rows, body):
+            assert int(sk) == k
+            # every float field parses back to the same bits
+            assert struct.pack("<d", float(sx)) == struct.pack("<d", x)
+            assert struct.pack("<d", float(sy)) == struct.pack("<d", float(y))
+
+
+# The functions allowed to open a file for writing; every artifact goes
+# through one of them.
+FILE_WRITERS = {("corpus", "write_csv"), ("corpus", "save_corpus"), ("predictor", "write_checkpoint")}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False  # the default mode reads
+    # a mode that is not a literal could be anything: count it as writing
+    return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+
+
+def test_only_the_file_writers_open_files_for_writing():
+    src = Path(__file__).resolve().parents[1] / "src" / "maskgen"
+    writers = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, ast.Call) and _writes_a_file(n) for n in ast.walk(fn)):
+                    writers.add((path.stem, fn.name))
+    assert writers == FILE_WRITERS

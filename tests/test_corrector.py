@@ -34,12 +34,6 @@ from maskgen.schedule import ScheduleConfig
 
 
 class TestCorruptForTraining:
-    def test_forced_zero_rate_is_identity(self):
-        clean = np.array([1, 2, 3, 4])
-        corrupted, labels = corrupt_for_training(clean, 8, 0.3, np.random.default_rng(0), rate=0.0)
-        np.testing.assert_array_equal(corrupted, clean)
-        assert not labels.any()
-
     def test_labels_mark_changed_positions_exactly(self):
         rng = np.random.default_rng(1)
         clean = rng.integers(0, 16, size=500)

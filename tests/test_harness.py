@@ -10,7 +10,7 @@ import pytest
 
 import maskgen
 from maskgen.cli import main as cli_main
-from maskgen.corpus import frequency_table, generate_corpus, load_corpus, save_corpus, save_frequency_csv
+from maskgen.corpus import document_frequency, generate_corpus, load_corpus, save_corpus, save_frequency_csv
 from maskgen.corrector import init_corrector, save_corrector
 from maskgen.errors import ConfigError
 from maskgen.harness import (
@@ -391,19 +391,31 @@ class TestCli:
 
 @pytest.fixture(scope="module")
 def decode_inputs(tmp_path_factory):
-    """Untrained 16-token checkpoints, a 16-token observation file of
-    length 20, and frequency tables of 16 and 32 tokens."""
+    """Untrained 16-token checkpoints, 16- and 32-token observation files
+    of length 20, their frequency tables, and malformed copies of the
+    16-token table."""
     d = tmp_path_factory.mktemp("decode_inputs")
     rng = np.random.default_rng(0)
     obs = generate_corpus(16, 4, 20, 1.2, 1, seed=1)
     save_corpus(obs, d / "obs.txt")
-    save_frequency_csv(frequency_table(obs), d / "freq.csv")
-    save_frequency_csv(frequency_table(generate_corpus(32, 4, 20, 1.2, 1, seed=1)), d / "freq32.csv")
+    save_frequency_csv(document_frequency(obs), d / "freq.csv")
+    obs32 = generate_corpus(32, 4, 20, 1.2, 1, seed=1)
+    save_corpus(obs32, d / "obs32.txt")
+    save_frequency_csv(document_frequency(obs32), d / "freq32.csv")
+    lines = (d / "freq.csv").read_text().splitlines()  # "# num_docs=4", header, token 0, ...
+    for name, i, line in [
+        ("freq_negative", 2, "0,-1,0.0,0.5"),
+        ("freq_above_num_docs", 2, "0,5,0.0,0.5"),
+        ("freq_no_docs", 0, "# num_docs=0"),
+        ("freq_short_row", 2, "0"),
+    ]:
+        (d / f"{name}.csv").write_text("\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n")
     model = init_model(16, 4, 1, rng)
     save_predictor(model, d / "model.bin")
     model.out_w[0, 0] = np.nan
     save_predictor(model, d / "nan.bin")
     save_corrector(init_corrector(16, 4, 1, rng), d / "corr.bin")
+    save_corrector(init_corrector(32, 4, 1, rng), d / "corr32.bin")
     whole = (d / "model.bin").read_bytes()
     (d / "short.bin").write_bytes(whole[: len(whole) // 2])
     (d / "header.bin").write_bytes(whole[:12])
@@ -426,6 +438,12 @@ DECODE_EXIT_CODES = {
     "corrector_trailing_bytes": (["--corrector", "{d}/corr_long.bin"], 2),
     "wrong_magic": (["--model", "{d}/corr.bin"], 2),
     "freq_csv_vocab_mismatch": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq32.csv"], 2),
+    "freq_csv_negative_count": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_negative.csv"], 2),
+    "freq_csv_count_above_num_docs": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_above_num_docs.csv"], 2),
+    "freq_csv_num_docs_zero": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_no_docs.csv"], 2),
+    "freq_csv_short_row": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_short_row.csv"], 2),
+    "input_vocab_mismatch": (["--input", "{d}/obs32.txt"], 2),
+    "corrector_vocab_mismatch": (["--corrector", "{d}/corr32.bin"], 2),
     "negative_temperature": (["--temperature", "-1"], 2),
     "negative_rounds": (["--corrector", "{d}/corr.bin", "--rounds", "-1"], 2),
     "theta_above_one": (["--corrector", "{d}/corr.bin", "--theta", "1.5"], 2),

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maskgen.corpus import frequency_table, generate_corpus, sequence_base_probabilities
+from maskgen.corpus import document_frequency, generate_corpus, sequence_base_probabilities
 from maskgen.corrector import CorrectorTrainConfig, init_corrector, train_corrector
 from maskgen.predictor import TrainConfig, build_conditioning, init_model, train
 from maskgen.schedule import MaskMode, ScheduleConfig, apply_mask, cosine_probability, ctf_probabilities
@@ -168,7 +168,7 @@ def _bits(a):
 def test_train_matches_frozen_oracle(mode, rho, n_steps, batch, radius, seed):
     # 10 docs: batches of 3, 4 and 7 leave a short last batch
     corpus = generate_corpus(8, 10, 12, 1.2, 1, seed=seed)
-    freq = frequency_table(corpus)
+    freq = document_frequency(corpus)
     sched = ScheduleConfig(n_steps=n_steps, mode=MaskMode(mode))
     hyper = TrainConfig(lr=0.9, epochs=2, batch=batch, rho=rho, seed=seed + 1, dim=3, radius=radius)
     model, history = train(corpus, freq, sched, hyper)
@@ -176,7 +176,6 @@ def test_train_matches_frozen_oracle(mode, rho, n_steps, batch, radius, seed):
     for name in ("embedding", "out_w", "out_b"):
         assert _bits(getattr(model, name)) == _bits(getattr(frozen, name)), name
     assert repr([(h.epoch, h.loss_sum, h.loss_per_token, h.masked_acc) for h in history]) == repr(frozen_history)
-    assert repr(model.final_loss) == repr(frozen_history[-1][2])
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)

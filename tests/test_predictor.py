@@ -17,8 +17,9 @@ from helpers import (
     set_predictor_params,
 )
 
-from maskgen.corpus import Corpus, generate_corpus, frequency_table
+from maskgen.corpus import Corpus, generate_corpus, document_frequency
 from maskgen.errors import NumericsError
+from maskgen.harness import write_training_csvs
 from maskgen.predictor import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -34,7 +35,6 @@ from maskgen.predictor import (
     train,
     window,
     window_adjoint,
-    write_learning_curve,
 )
 from maskgen.schedule import MaskMode, ScheduleConfig
 
@@ -236,7 +236,7 @@ def small_sched(vocab_size, n_steps=8):
 class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         corpus = generate_corpus(8, 12, 16, 1.0, 0, seed=1)
-        freq = frequency_table(corpus)
+        freq = document_frequency(corpus)
         cfg = TrainConfig(lr=0.0, epochs=2, batch=4, rho=0.2, seed=3, dim=4, radius=1)
         model, _ = train(corpus, freq, small_sched(8), cfg)
         fresh = init_model(8, 4, 1, np.random.default_rng(3))
@@ -247,14 +247,14 @@ class TestTrain:
     def test_single_class_vocab_loss_is_zero(self):
         # CE over one class is identically zero
         corpus = Corpus(tokens=np.zeros((6, 10), dtype=np.int64), vocab_size=1, seed=0)
-        freq = frequency_table(corpus)
+        freq = document_frequency(corpus)
         cfg = TrainConfig(lr=0.5, epochs=2, batch=3, rho=0.0, seed=4, dim=3, radius=1)
         _, history = train(corpus, freq, small_sched(1), cfg)
         assert all(h.loss_sum == 0.0 for h in history)
 
     def test_bit_deterministic(self):
         corpus = generate_corpus(8, 16, 20, 1.2, 1, seed=5)
-        freq = frequency_table(corpus)
+        freq = document_frequency(corpus)
         cfg = TrainConfig(lr=0.8, epochs=2, batch=4, rho=0.3, seed=6, dim=4, radius=1)
         a, hist_a = train(corpus, freq, small_sched(8), cfg)
         b, hist_b = train(corpus, freq, small_sched(8), cfg)
@@ -265,46 +265,46 @@ class TestTrain:
 
     def test_loss_decreases(self):
         corpus = generate_corpus(8, 40, 24, 1.2, 1, seed=7)
-        freq = frequency_table(corpus)
+        freq = document_frequency(corpus)
         cfg = TrainConfig(lr=1.0, epochs=4, batch=8, rho=0.3, seed=8, dim=8, radius=1)
         _, history = train(corpus, freq, small_sched(8), cfg)
         assert history[-1].loss_per_token < history[0].loss_per_token
 
     def test_ctf_mode_trains(self):
         corpus = generate_corpus(8, 16, 20, 1.2, 1, seed=9)
-        freq = frequency_table(corpus)
+        freq = document_frequency(corpus)
         sched = ScheduleConfig(n_steps=8, mode=MaskMode.CTF)
         cfg = TrainConfig(lr=0.8, epochs=2, batch=4, rho=0.3, seed=10, dim=4, radius=1)
-        model, history = train(corpus, freq, sched, cfg)
-        assert model.final_loss == history[-1].loss_per_token
+        _, history = train(corpus, freq, sched, cfg)
+        assert len(history) == 2 and all(math.isfinite(h.loss_per_token) for h in history)
 
     def test_learned_accuracy_beats_chance_margin(self):
         # V=16 Zipf(1.2) first-order corpus; the bar is 5x the 1/16 chance
         # rate (pilot runs reach ~0.7 via conditioning plus context)
         corpus = generate_corpus(16, 160, 48, 1.2, 1, seed=11)
-        freq = frequency_table(corpus)
+        freq = document_frequency(corpus)
         cfg = TrainConfig(lr=1.5, epochs=5, batch=8, rho=0.3, seed=12, dim=16, radius=2)
         _, history = train(corpus, freq, small_sched(16, n_steps=10), cfg)
         assert history[-1].masked_acc > 5.0 / 16.0
 
     def test_divergence_raises_numerics_error(self):
         corpus = generate_corpus(8, 8, 12, 1.0, 0, seed=13)
-        freq = frequency_table(corpus)
+        freq = document_frequency(corpus)
         cfg = TrainConfig(lr=1e12, epochs=3, batch=4, rho=0.2, seed=14, dim=4, radius=1)
         with np.errstate(all="ignore"), pytest.raises(NumericsError):
             train(corpus, freq, small_sched(8), cfg)
 
     def test_learning_curve_csv(self, tmp_path):
         corpus = generate_corpus(8, 8, 12, 1.0, 0, seed=16)
-        freq = frequency_table(corpus)
+        freq = document_frequency(corpus)
         cfg = TrainConfig(lr=0.5, epochs=3, batch=4, rho=0.2, seed=17, dim=4, radius=1)
         _, history = train(corpus, freq, small_sched(8), cfg)
-        path = tmp_path / "curve.csv"
-        write_learning_curve(history, path, comment="config_hash=x")
-        lines = path.read_text().splitlines()
+        write_training_csvs(str(tmp_path), "x", history, freq)
+        lines = (tmp_path / "learning_curve.csv").read_text().splitlines()
         assert lines[0] == "# config_hash=x"
         assert lines[1] == "epoch,loss,masked_acc"
         assert len(lines) == 2 + 3
+        assert lines[-1] == f"2,{history[-1].loss_per_token!r},{history[-1].masked_acc!r}"
 
 
 class TestCheckpoint:

@@ -105,32 +105,32 @@ class TestCtfProbabilities:
 
 class TestSampleMask:
     def test_all_zero_probabilities(self):
-        mv = sample_mask(np.zeros(50), np.random.default_rng(0))
-        assert not mv.m.any()
+        m = sample_mask(np.zeros(50), np.random.default_rng(0))
+        assert m.dtype == np.int8 and not m.any()
 
     def test_all_one_probabilities(self):
-        mv = sample_mask(np.ones(50), np.random.default_rng(0))
-        assert mv.m.all()
+        m = sample_mask(np.ones(50), np.random.default_rng(0))
+        assert m.all()
 
     def test_deterministic_under_seed(self):
         probs = np.linspace(0.1, 0.9, 40)
         a = sample_mask(probs, np.random.default_rng(5))
         b = sample_mask(probs, np.random.default_rng(5))
-        assert np.array_equal(a.m, b.m)
+        assert np.array_equal(a, b)
 
     def test_single_draw_concentration(self):
         # one draw over 1e5 positions: Poisson-binomial 3 sigma bound
         rng = np.random.default_rng(11)
         probs = rng.uniform(0.0, 1.0, size=100_000)
-        mv = sample_mask(probs, np.random.default_rng(12))
+        m = sample_mask(probs, np.random.default_rng(12))
         sigma = math.sqrt((probs * (1 - probs)).sum())
-        assert abs(mv.m.sum() - probs.sum()) <= 3 * sigma
+        assert abs(m.sum() - probs.sum()) <= 3 * sigma
 
     def test_mean_count_over_trials(self):
         probs = np.linspace(0.05, 0.95, 32)
         rng = np.random.default_rng(13)
         trials = 20_000
-        counts = np.array([sample_mask(probs, rng).m.sum() for _ in range(trials)])
+        counts = np.array([sample_mask(probs, rng).sum() for _ in range(trials)])
         sigma_mean = math.sqrt((probs * (1 - probs)).sum() / trials)
         assert abs(counts.mean() - probs.sum()) <= 3 * sigma_mean
 
@@ -153,9 +153,9 @@ class TestApplyMask:
     def test_restore_round_trip(self):
         rng = np.random.default_rng(3)
         x = rng.integers(0, 8, size=64)
-        mv = sample_mask(np.full(64, 0.5), rng)
-        masked = apply_mask(x, mv.m, 8)
-        restored = np.where(mv.m == 1, x, masked)
+        m = sample_mask(np.full(64, 0.5), rng)
+        masked = apply_mask(x, m, 8)
+        restored = np.where(m == 1, x, masked)
         np.testing.assert_array_equal(restored, x)
 
     def test_length_mismatch_rejected(self):
