@@ -10,6 +10,7 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -25,26 +26,17 @@ from .schedule import MaskMode, ScheduleConfig, dump_schedule_rows
 
 
 def _load_cfg(args) -> harness.ExperimentConfig:
-    if args.config:
-        cfg = harness.load_config(args.config)
-    else:
-        if getattr(args, "seed", None) is None:
-            raise ConfigError("seed", "give --config or --seed")
-        cfg = harness.ExperimentConfig(seed=args.seed)
-    for key in harness._PARSERS:
-        flag = getattr(args, key, None)
-        if flag is not None and key != "seed":
-            cfg = replace(cfg, **{key: flag})
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "output_dir", None) is not None:
-        cfg = replace(cfg, output_dir=args.output_dir)
+    if not args.config and args.seed is None:
+        raise ConfigError("seed", "give --config or --seed")
+    cfg = harness.load_config(args.config) if args.config else harness.ExperimentConfig(seed=args.seed)
+    overrides = {key: getattr(args, key) for key in harness._PARSERS if getattr(args, key) is not None}
+    cfg = replace(cfg, **overrides)
     harness.validate_config(cfg)
     return cfg
 
 
 def _cmd_gen_corpus(args) -> int:
-    for key in ("vocab_size", "num_docs", "seq_len", "zipf_exponent"):
+    for key in ("vocab_size", "num_docs", "seq_len", "zipf_exponent", "seed"):
         harness.check_value(key, getattr(args, key))
     corpus = corpuslib.generate_corpus(
         args.vocab_size, args.num_docs, args.seq_len, args.zipf_exponent, args.markov_order, args.seed
@@ -93,10 +85,12 @@ def _read(field: str, loader, path):
 
 
 def _cmd_decode(args) -> int:
-    if args.selection == "sample" and args.seed is None:
-        raise ConfigError("seed", "--seed is required with --selection sample")
-    if args.temperature < 0.0:
-        raise ConfigError("temperature", f"must be >= 0, got {args.temperature}")
+    if not (math.isfinite(args.temperature) and args.temperature >= 0.0):
+        raise ConfigError("temperature", f"must be finite and >= 0, got {args.temperature}")
+    if args.seed is None and args.temperature > 0.0:
+        raise ConfigError("seed", "--seed is required with a temperature above 0")
+    if args.seed is not None:
+        harness.check_value("seed", args.seed)
     if args.rounds < 0:
         raise ConfigError("rounds", f"must be >= 0, got {args.rounds}")
     if not 0.0 <= args.theta <= 1.0:
@@ -121,14 +115,11 @@ def _cmd_decode(args) -> int:
         rng = np.random.default_rng(streams[j])
         ctx = predictor.build_conditioning(observations.tokens[j], model)
         p_base = corpuslib.sequence_base_probabilities(freq, observations.tokens[j]) if mode is MaskMode.CTF else None
-        out, last_trace = declib.decode(
-            model, ctx, sched, selection=args.selection, rng=rng,
-            temperature=args.temperature, p_base=p_base,
-        )
+        out, last_trace = declib.decode(model, ctx, sched, rng=rng, temperature=args.temperature, p_base=p_base)
         if corrector is not None:
             out = corrlib.correct(
                 out, model, ctx, corrector, args.theta, args.rounds,
-                full_decode=sched if args.refill == "full" else None, p_base=p_base,
+                refill=sched if args.refill == "full" else None, p_base=p_base,
             )
         decoded[j] = out
     corpuslib.save_corpus(
@@ -227,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=int, default=10)
     p.add_argument("--mask-mode", choices=("uniform", "ctf"), default="uniform")
     p.add_argument("--freq-csv", help="frequency table (required for ctf)")
-    p.add_argument("--selection", choices=("greedy", "sample"), default="greedy")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=0.0,
+                   help="sampling temperature, annealed to 0 over the steps; 0 is greedy")
     p.add_argument("--corrector", help="optional corrector checkpoint")
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--refill", choices=("single", "full"), default="single",
-                   help="refill re-masked positions with one argmax pass or a full decode")
-    p.add_argument("--seed", type=int, help="required for --selection sample")
+                   help="refill re-masked positions with a one-step or a full decode")
+    p.add_argument("--seed", type=int, help="required with a temperature above 0")
     p.add_argument("--trace", help="write the last sequence's decode trace CSV")
     p.set_defaults(fn=_cmd_decode)
 

@@ -295,6 +295,8 @@ def load_corpus(path) -> Corpus:
             if row.shape[0] != seq_len:
                 raise ValueError(f"sequence {d}: expected {seq_len} tokens, got {row.shape[0]}")
             tokens[d] = row
+        if any(line.strip() for line in fh):
+            raise ValueError(f"text after the last of {num_docs} sequences")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
         raise ValueError("corpus contains token ids outside [0, vocab_size)")
     return Corpus(tokens=tokens, vocab_size=vocab_size, seed=seed)

@@ -24,7 +24,6 @@ from .predictor import (
     CHECKPOINT_VERSION,
     ConditioningContext,
     PredictorModel,
-    forward,
     read_checkpoint,
     window,
     window_adjoint,
@@ -182,22 +181,25 @@ def correct(
     corrector: CorrectorModel,
     threshold: float,
     rounds: int,
-    full_decode: ScheduleConfig | None = None,
+    refill: ScheduleConfig | None = None,
     p_base: np.ndarray | None = None,
 ) -> np.ndarray:
     """Re-mask suspicious positions and refill them, up to ``rounds`` times.
 
     Each round scores the current sequence, masks every flagged position,
-    and refills with a single argmax pass of the predictor (or a full greedy
-    multi-step decode when ``full_decode`` is given). Stops early when
-    nothing is flagged or a round leaves the sequence unchanged (a fixed
-    point: identical input would be flagged and refilled identically).
-    Positions never flagged are never modified; rounds=0 is the identity.
-    Raises ``NumericsError`` when the suspicion scores or the refill
-    probabilities are not finite.
+    and refills them by a greedy ``decode`` from the masked sequence under
+    the ``refill`` schedule. ``None`` means one step: a single forward pass
+    whose argmax commits every flagged position. Stops early when nothing
+    is flagged or a round leaves the sequence unchanged (a fixed point:
+    identical input would be flagged and refilled identically). Positions
+    never flagged are never modified; rounds=0 is the identity. Raises
+    ``NumericsError`` when the suspicion scores or the refill probabilities
+    are not finite.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
+    if refill is None:
+        refill = ScheduleConfig(n_steps=1)
     current = np.asarray(decoded, dtype=np.int64).copy()
     mask_id = predictor.mask_token_id
     for r in range(rounds):
@@ -207,15 +209,7 @@ def correct(
         if not verdict.remask.any():
             break
         masked = apply_mask(current, verdict.remask, mask_id)
-        if full_decode is not None:
-            refilled, _ = decode(predictor, ctx, full_decode, p_base=p_base, initial=masked)
-        else:
-            flagged = np.flatnonzero(verdict.remask)
-            probs = forward(predictor, masked, ctx, positions=flagged).probs
-            if not np.isfinite(probs).all():
-                raise NumericsError(f"non-finite refill probabilities in correction round {r}")
-            refilled = masked.copy()
-            refilled[flagged] = probs.argmax(axis=1)
+        refilled, _ = decode(predictor, ctx, refill, p_base=p_base, initial=masked)
         if np.array_equal(refilled, current):
             break
         current = refilled

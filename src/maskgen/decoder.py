@@ -7,8 +7,8 @@ counts, rounded half-up and repaired to a strictly decreasing sequence from
 T down to 0, so every step of a decode from the fully masked state commits
 at least one position and decoding finishes in n_steps steps. A decode
 from a partly committed ``initial`` clamps the plan to the open count, so
-some of its steps commit nothing; under greedy selection those steps run
-no forward pass, so a decode takes at most n_steps forward passes. In
+some of its steps commit nothing; at temperature 0 those steps run no
+forward pass, so a decode takes at most n_steps forward passes. In
 coarse-to-fine mode the stay-open priority of a position is additionally
 weighted by its rarity, so positions holding frequent tokens commit earlier
 and rare ones are refined last with the most visible context.
@@ -33,26 +33,18 @@ class StepTrace:
     mean_confidence: float
 
 
-def plan_open_counts(
-    sched: ScheduleConfig,
-    seq_len: int,
-    p_base: np.ndarray | None = None,
-    table: np.ndarray | None = None,
-) -> np.ndarray:
+def plan_open_counts(sched: ScheduleConfig, seq_len: int, table: np.ndarray | None = None) -> np.ndarray:
     """Open-position targets per step: strictly decreasing from T to 0.
 
-    Raw targets are the rounded expected masked counts (uniform cosine, or
-    the clipped coarse-to-fine sum when p_base is given in CTF mode). The
-    repair pass pins both endpoints and enforces a strict decrease so each
-    step commits at least one position; this needs n_steps <= seq_len.
-    ``table`` is ``ctf_probability_table(p_base, ...)`` when the caller has
-    already built it.
+    Raw targets are the rounded expected masked counts: the uniform cosine,
+    or the row sums of ``table``, the ``ctf_probability_table`` of a CTF
+    decode. The repair pass pins both endpoints and enforces a strict
+    decrease so each step commits at least one position; this needs
+    n_steps <= seq_len.
     """
     n = sched.n_steps
     if n > seq_len:
         raise ValueError(f"n_steps ({n}) must not exceed seq_len ({seq_len})")
-    if table is None and sched.mode is MaskMode.CTF and p_base is not None:
-        table = ctf_probability_table(p_base, n)
     if table is not None:
         expected = table.sum(axis=1)
     else:
@@ -72,7 +64,7 @@ def _choose(probs: np.ndarray, temperature: float, rng: np.random.Generator | No
     if temperature <= 0.0:
         return probs.argmax(axis=1)
     if rng is None:
-        raise ValueError("sample selection needs an rng")
+        raise ValueError("sampling at a temperature above 0 needs an rng")
     logits = np.log(np.maximum(probs, 1e-300)) / temperature
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
@@ -87,33 +79,30 @@ def decode(
     model: PredictorModel,
     ctx: ConditioningContext,
     sched: ScheduleConfig,
-    selection: str = "greedy",
     rng: np.random.Generator | None = None,
-    temperature: float = 1.0,
+    temperature: float = 0.0,
     p_base: np.ndarray | None = None,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[StepTrace]]:
     """Reconstruct a full sequence in ``sched.n_steps`` steps, with at most
     that many forward passes.
 
-    Each step predicts every open position, picks a token per position
-    (greedy argmax, or temperature sampling with the temperature annealed
-    linearly to zero over the steps), and commits enough of them --
+    Each step predicts every open position, picks a token per position by
+    temperature sampling (the temperature annealed linearly to zero over the
+    steps; at temperature 0 the argmax), and commits enough of them --
     highest confidence first -- that exactly the planned number stays open.
     Committed positions never change. In CTF mode ``p_base`` (the rarity
     priors of the observed sequence) weights the stay-open priority.
 
     ``initial`` may pre-commit positions (everything not equal to the mask
     token); the plan is clamped to the initially open count. With nothing
-    open the input is returned untouched with no forward pass. Under greedy
-    selection a step whose plan commits nothing runs no forward pass: its
+    open the input is returned untouched with no forward pass. At
+    temperature 0 a step whose plan commits nothing runs no forward pass: its
     input is the next step's input, so its trace row repeats that step's
     open count and mean confidence. The trace always has ``n_steps`` rows.
 
     Raises ``NumericsError`` when the predicted probabilities are not finite.
     """
-    if selection not in ("greedy", "sample"):
-        raise ValueError(f"unknown selection {selection!r}")
     if sched.mode is MaskMode.CTF and p_base is None:
         raise ValueError("CTF decoding needs the per-position p_base vector")
     t = ctx.seq_len
@@ -128,25 +117,21 @@ def decode(
             raise ValueError("initial sequence length does not match conditioning")
     open_idx = np.flatnonzero(current == mask_id)
     table = ctf_probability_table(p_base, n) if sched.mode is MaskMode.CTF else None
-    plan = np.minimum(plan_open_counts(sched, t, p_base, table=table), open_idx.shape[0])
+    plan = np.minimum(plan_open_counts(sched, t, table), open_idx.shape[0])
     trace: list[StepTrace] = []
     if open_idx.shape[0] == 0:
         return current, trace
 
-    idle = 0  # greedy steps skipped since the last forward pass
+    idle = 0  # steps skipped since the last forward pass
     for i in range(n):
         n_commit = open_idx.shape[0] - int(plan[i + 1])
-        if selection == "greedy" and n_commit <= 0:
+        if temperature <= 0.0 and n_commit <= 0:
             idle += 1
             continue
         probs = forward(model, current, ctx, positions=open_idx).probs
         if not np.isfinite(probs).all():
             raise NumericsError(f"non-finite probabilities at decode step {i}")
-        if selection == "sample":
-            step_temp = temperature * (1.0 - (i + 1) / n)
-            chosen = _choose(probs, step_temp, rng)
-        else:
-            chosen = probs.argmax(axis=1)
+        chosen = _choose(probs, temperature * (1.0 - (i + 1) / n), rng)
         conf = probs[np.arange(open_idx.shape[0]), chosen]
         mean_conf = float(conf.mean())
         trace.extend(

@@ -106,6 +106,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = key.strip(), raw.strip()
         if key not in _PARSERS:
             raise ConfigError(key, "unknown configuration key")
+        if key in values:
+            raise ConfigError(key, f"repeated on line {lineno}")
         try:
             values[key] = _PARSERS[key](raw)
         except ValueError as exc:
@@ -124,11 +126,12 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-# per-key value rules; n_steps <= seq_len is checked across keys
+# per-key value rules (a lower bound holds for every entry of a tuple);
+# n_steps <= seq_len is checked across keys
 _CHOICES = {"mask_mode": ("uniform", "ctf"), "markov_order": (0, 1)}
 _AT_LEAST = {
     "vocab_size": 2, "num_docs": 1, "test_docs": 1, "seq_len": 1, "n_steps": 1, "embed_dim": 1,
-    "epochs": 1, "batch": 1, "corrector_dim": 1, "corrector_epochs": 1,
+    "seed": 0, "seeds": 0, "epochs": 1, "batch": 1, "corrector_dim": 1, "corrector_epochs": 1,
     "zipf_exponent": 0, "radius": 0, "corrector_radius": 0, "corrector_rounds": 0,
 }
 _UNIT_INTERVAL = ("rho", "theta")
@@ -140,7 +143,8 @@ def check_value(key: str, value) -> None:
     if key in _CHOICES and value not in _CHOICES[key]:
         allowed = " or ".join(repr(c) for c in _CHOICES[key])
         raise ConfigError(key, f"must be {allowed}, got {value!r}")
-    if key in _AT_LEAST and not value >= _AT_LEAST[key]:
+    entries = value if isinstance(value, tuple) else (value,)
+    if key in _AT_LEAST and not all(v >= _AT_LEAST[key] for v in entries):
         raise ConfigError(key, f"must be >= {_AT_LEAST[key]}, got {value}")
     if key in _UNIT_INTERVAL and not 0.0 <= value <= 1.0:
         raise ConfigError(key, f"must be in [0,1], got {value}")

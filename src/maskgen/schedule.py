@@ -49,26 +49,23 @@ def expected_masked_cosine(i: int, n_steps: int, seq_len: int) -> float:
     return seq_len * cosine_probability(i, n_steps)
 
 
-def scaled_clipped_probabilities(p_base: np.ndarray, expected_masked: float) -> np.ndarray:
+def scaled_clipped_probabilities(p_base: np.ndarray, expected_masked: float | np.ndarray) -> np.ndarray:
     """Rescale per-token base probabilities so their sum matches the target
     expectation, clipping at 1.
 
     p(t) = min(expected_masked / sum(p_base) * p_base(t), 1). The sum of the
     result equals the target exactly when nothing clips and falls short of
-    it otherwise. Rank order among unclipped entries is preserved.
+    it otherwise. Rank order among unclipped entries is preserved. An
+    (S, 1) column of targets gives an (S, T) table, one row per target,
+    each equal bit for bit to the row of that target alone.
     """
     p_base = np.asarray(p_base, dtype=np.float64)
-    return np.minimum(expected_masked / _p_base_total(p_base) * p_base, 1.0)
-
-
-def _p_base_total(p_base: np.ndarray) -> float:
-    """Sum of validated base probabilities."""
     if np.any(p_base <= 0.0) or np.any(p_base > 1.0):
         raise ValueError("p_base values must lie in (0, 1]")
     total = p_base.sum()
     if total <= 0.0:
         raise ValueError("sum of p_base must be positive")
-    return total
+    return np.minimum(expected_masked / total * p_base, 1.0)
 
 
 def ctf_probabilities(p_base: np.ndarray, i: int, n_steps: int) -> np.ndarray:
@@ -85,13 +82,10 @@ def ctf_probabilities(p_base: np.ndarray, i: int, n_steps: int) -> np.ndarray:
 
 def ctf_probability_table(p_base: np.ndarray, n_steps: int) -> np.ndarray:
     """(n_steps+1, T) table whose row i equals ``ctf_probabilities(p_base, i,
-    n_steps)`` bit for bit: the same scalar division by the p_base total, the
-    same product and the same clip, for all steps at once.
-    """
-    p_base = np.asarray(p_base, dtype=np.float64)
-    t = p_base.shape[0]
-    expected = np.array([expected_masked_cosine(i, n_steps, t) for i in range(n_steps + 1)])
-    return np.minimum((expected / _p_base_total(p_base))[:, None] * p_base, 1.0)
+    n_steps)`` bit for bit."""
+    t = np.shape(p_base)[0]
+    expected = np.array([[expected_masked_cosine(i, n_steps, t)] for i in range(n_steps + 1)])
+    return scaled_clipped_probabilities(p_base, expected)
 
 
 def sample_mask(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -335,6 +335,15 @@ class TestCorpusIO:
         with pytest.raises(ValueError):
             load_corpus(path)
 
+    def test_text_after_the_last_sequence_rejected(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        save_corpus(generate_corpus(8, 3, 5, 1.2, 1, seed=4), path)
+        path.write_text(path.read_text() + "\n  \n")  # blank lines may follow
+        assert load_corpus(path).num_docs == 3
+        path.write_text(path.read_text() + "1 2 3 4 5\ngarbage\n")
+        with pytest.raises(ValueError, match="after the last"):
+            load_corpus(path)
+
 
 class TestFrequencyCsv:
     @settings(derandomize=True, max_examples=40, deadline=None)

@@ -211,9 +211,9 @@ class TestCorrect:
             return verdict
 
         predictor, corrector, ctx, decoded = tiny_setup(seed)
-        full_decode = ScheduleConfig(n_steps=3) if full else None
+        refill = ScheduleConfig(n_steps=3) if full else None
         with mock.patch.object(corrector_mod, "detect_and_remask", recording):
-            out = correct(decoded, predictor, ctx, corrector, theta, rounds=rounds, full_decode=full_decode)
+            out = correct(decoded, predictor, ctx, corrector, theta, rounds=rounds, refill=refill)
         union = np.zeros(6, dtype=bool)
         for remask in flagged_union:
             union |= remask == 1
@@ -256,7 +256,7 @@ class TestCorrect:
     def test_full_decode_refill_variant(self):
         predictor, corrector, ctx, decoded = tiny_setup(27)
         sched = ScheduleConfig(n_steps=2)
-        out = correct(decoded, predictor, ctx, corrector, 0.3, rounds=2, full_decode=sched)
+        out = correct(decoded, predictor, ctx, corrector, 0.3, rounds=2, refill=sched)
         assert out.shape == decoded.shape
         assert (out != 4).all()
 

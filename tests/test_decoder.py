@@ -5,7 +5,9 @@ procedure (forward pass included) in plain Python lists and loops, so the
 vectorized implementation is checked end to end against it.
 """
 
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -128,7 +130,7 @@ class TestPlanOpenCounts:
         rng = np.random.default_rng(1)
         p_base = rng.uniform(0.05, 0.95, size=24)
         sched = ScheduleConfig(n_steps=6, mode=MaskMode.CTF)
-        counts = plan_open_counts(sched, 24, p_base)
+        counts = plan_open_counts(sched, 24, ctf_probability_table(p_base, 6))
         for i in range(1, 6):
             e_cos = 24 * math.cos(0.5 * math.pi * i / 6)
             expected = float(scaled_clipped_probabilities(p_base, e_cos).sum())
@@ -151,7 +153,7 @@ class TestPlanOpenCounts:
             sched = ScheduleConfig(n_steps=n, mode=mode)
             # a subnormal p_base total overflows the scale to inf; the clip at 1 absorbs it
             with np.errstate(over="ignore"):
-                counts = plan_open_counts(sched, t, p_base)
+                counts = plan_open_counts(sched, t, ctf_probability_table(p_base, n) if ctf else None)
             assert counts.shape == (n + 1,) and counts[0] == t and counts[-1] == 0
             assert (np.diff(counts) < 0).all(), (n, counts)
 
@@ -260,7 +262,7 @@ class TestDecode:
 
         with mock.patch.object(decoder_mod, "forward", recording_forward):
             out, _ = decode(model, build_conditioning(distorted, model), sched, p_base=p_base)
-        counts = plan_open_counts(sched, t, p_base)
+        counts = plan_open_counts(sched, t, ctf_probability_table(p_base, n) if ctf else None)
         # from the fully masked start every step commits, so every step runs a pass
         assert len(inputs) == n
         states = inputs + [out]
@@ -283,11 +285,11 @@ class TestDecode:
         model, distorted = make_case(rng, t_len=12, v=4, d=2, r=1)
         ctx = build_conditioning(distorted, model)
         sched = ScheduleConfig(n_steps=4)
-        a, _ = decode(model, ctx, sched, selection="sample", rng=np.random.default_rng(9), temperature=1.0)
-        b, _ = decode(model, ctx, sched, selection="sample", rng=np.random.default_rng(9), temperature=1.0)
+        a, _ = decode(model, ctx, sched, rng=np.random.default_rng(9), temperature=1.0)
+        b, _ = decode(model, ctx, sched, rng=np.random.default_rng(9), temperature=1.0)
         np.testing.assert_array_equal(a, b)
         with pytest.raises(ValueError):
-            decode(model, ctx, sched, selection="sample", rng=None)
+            decode(model, ctx, sched, rng=None, temperature=1.0)
 
     def test_ctf_requires_p_base(self):
         rng = np.random.default_rng(8)
@@ -325,7 +327,7 @@ class TestDecode:
 
 class TestDecodeSkipsIdleSteps:
     """Decodes from a partly committed ``initial`` clamp the plan, so some
-    steps commit nothing; greedy decoding skips their forward passes."""
+    steps commit nothing; decoding at temperature 0 skips their forward passes."""
 
     @staticmethod
     def clamped_case(seed, t_len=12, v=4):
@@ -391,8 +393,8 @@ class TestDecodeSkipsIdleSteps:
         initial = rng.integers(0, 4, size=10)
         initial[[2, 7]] = 4
         sched = ScheduleConfig(n_steps=6)
-        _, trace = decode(model, build_conditioning(distorted, model), sched, selection="sample",
-                          rng=np.random.default_rng(0), initial=initial)
+        _, trace = decode(model, build_conditioning(distorted, model), sched, rng=np.random.default_rng(0),
+                          temperature=1.0, initial=initial)
         assert len(calls) == 6 and len(trace) == 6
 
 
@@ -433,7 +435,7 @@ class TestExactnessPins:
             for i in range(n - 1, 0, -1):
                 expected[i] = max(expected[i + 1] + 1, min(raw[i], t - i))
             expected[0] = t
-            np.testing.assert_array_equal(plan_open_counts(sched, t, p_base), expected)
+            np.testing.assert_array_equal(plan_open_counts(sched, t, ctf_probability_table(p_base, n)), expected)
 
     def test_ctf_table_rejects_bad_p_base(self):
         with pytest.raises(ValueError):
@@ -452,11 +454,12 @@ class TestNonFinite:
         with pytest.raises(NumericsError):
             decode(model, ctx, ScheduleConfig(n_steps=3))
 
-    def test_single_pass_refill_raises(self):
+    @pytest.mark.parametrize("refill", [None, ScheduleConfig(n_steps=3)], ids=["single", "full"])
+    def test_refill_raises(self, refill):
         model, ctx = self.nan_case()
         scorer = init_corrector(4, 2, 1, np.random.default_rng(0))
         with pytest.raises(NumericsError):
-            correct(np.zeros(8, dtype=np.int64), model, ctx, scorer, threshold=0.0, rounds=1)
+            correct(np.zeros(8, dtype=np.int64), model, ctx, scorer, threshold=0.0, rounds=1, refill=refill)
 
     def test_nan_suspicion_raises(self):
         rng = np.random.default_rng(16)
@@ -498,3 +501,23 @@ class TestConfidence:
         pred = forward(model, np.array([2]), ctx)
         assert pred.probs[0].max() == pytest.approx(0.5, abs=1e-15)
         assert pred.probs[0].argmax() == 0
+
+
+# The functions allowed to use the predictor's ``forward``: ``decode``, which
+# fills every masked position (a corrector refill included), and the
+# training objective.
+FORWARD_USERS = {("decoder", "decode"), ("predictor", "example_loss"), ("predictor", "_train_batch")}
+
+
+def test_only_decode_and_training_call_forward():
+    src = Path(__file__).resolve().parents[1] / "src" / "maskgen"
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Name) and node.id == "forward" or (
+                        isinstance(node, ast.Attribute) and node.attr == "forward"
+                    ):
+                        users.add((path.stem, fn.name))
+    assert users == FORWARD_USERS

@@ -96,11 +96,17 @@ class TestConfig:
             ("seed = 1\nlr = 0\n", "lr"),
             ("seed = 1\nlr = nan\n", "lr"),
             ("seed = 1\ncorrector_lr = inf\n", "corrector_lr"),
+            ("seed = -1\n", "seed"),
+            ("seed = 1\nseeds = 3,-2\n", "seeds"),
         ],
     )
     def test_validation_errors_carry_field(self, text, field):
         with pytest.raises(ConfigError, match=field):
             parse_config(text)
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="seed: repeated on line 2"):
+            parse_config("seed = 1\nseed = 2\n")
 
     def test_hash_ignores_output_dir(self):
         a = tiny_config(output_dir="runs/a")
@@ -346,7 +352,7 @@ class TestCli:
         cli_main(["train", "--config", str(cfg_path), "--model-out", str(model_path)])
         rc = cli_main([
             "decode", "--model", str(model_path), "--input", str(corpus_path),
-            "--out", str(tmp_path / "d.txt"), "--n-steps", "2", "--selection", "sample",
+            "--out", str(tmp_path / "d.txt"), "--n-steps", "2", "--temperature", "0.8",
         ])
         assert rc == 2
 
@@ -379,6 +385,13 @@ class TestCli:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    def test_removed_selection_flag_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["decode", "--model", "m.bin", "--input", "obs.txt", "--out", "out.txt", "--selection", "sample"])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_dump_schedule(self, tmp_path):
         out = tmp_path / "sched.csv"
         assert cli_main(["dump-schedule", "--n-steps", "4", "--seq-len", "10", "--out", str(out)]) == 0
@@ -398,6 +411,7 @@ def decode_inputs(tmp_path_factory):
     rng = np.random.default_rng(0)
     obs = generate_corpus(16, 4, 20, 1.2, 1, seed=1)
     save_corpus(obs, d / "obs.txt")
+    (d / "obs_trailing.txt").write_text((d / "obs.txt").read_text() + "1 2 3 4 5\ngarbage\n")
     save_frequency_csv(document_frequency(obs), d / "freq.csv")
     obs32 = generate_corpus(32, 4, 20, 1.2, 1, seed=1)
     save_corpus(obs32, d / "obs32.txt")
@@ -444,7 +458,12 @@ DECODE_EXIT_CODES = {
     "freq_csv_short_row": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_short_row.csv"], 2),
     "input_vocab_mismatch": (["--input", "{d}/obs32.txt"], 2),
     "corrector_vocab_mismatch": (["--corrector", "{d}/corr32.bin"], 2),
+    "sampled": (["--temperature", "0.8", "--seed", "3"], 0),
     "negative_temperature": (["--temperature", "-1"], 2),
+    "nan_temperature": (["--temperature", "nan", "--seed", "3"], 2),
+    "temperature_without_seed": (["--temperature", "0.8"], 2),
+    "negative_seed": (["--seed", "-1"], 2),
+    "input_trailing_lines": (["--input", "{d}/obs_trailing.txt"], 2),
     "negative_rounds": (["--corrector", "{d}/corr.bin", "--rounds", "-1"], 2),
     "theta_above_one": (["--corrector", "{d}/corr.bin", "--theta", "1.5"], 2),
     "nan_model": (["--model", "{d}/nan.bin"], 3),
@@ -481,8 +500,14 @@ CONFIG_VALUE_EXIT_CODES = {
     "eval_lr_negative": ("lr", ["eval", "--lr", "-5"]),
     "eval_lr_nan": ("lr", ["eval", "--lr", "nan"]),
     "eval_corrector_lr_inf": ("corrector_lr", ["eval", "--corrector-lr", "inf"]),
+    "eval_seed": ("seed", ["eval", "--seed", "-1"]),
+    "compare_modes_seeds": ("seeds", ["compare-modes", "--seeds", "4,-1"]),
     "gen_corpus_vocab_size": ("vocab_size", GEN_CORPUS + ["--vocab-size", "1", "--num-docs", "2", "--seq-len", "4"]),
     "gen_corpus_num_docs": ("num_docs", GEN_CORPUS + ["--vocab-size", "4", "--num-docs", "0", "--seq-len", "4"]),
+    "gen_corpus_seed": (
+        "seed",
+        GEN_CORPUS + ["--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--seed", "-1"],
+    ),
     "gen_corpus_zipf_exponent": (
         "zipf_exponent",
         GEN_CORPUS + ["--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--zipf-exponent", "-1"],
@@ -495,8 +520,8 @@ CONFIG_VALUE_EXIT_CODES = {
 @pytest.mark.parametrize("field,argv", list(CONFIG_VALUE_EXIT_CODES.values()), ids=list(CONFIG_VALUE_EXIT_CODES))
 def test_config_value_exit_codes(tmp_path, capsys, field, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]
-    if argv[0] in ("eval", "train-corrector"):
-        argv += ["--seed", "1", "--output-dir", str(tmp_path / "run")]
+    if argv[0] in ("eval", "train-corrector", "compare-modes"):
+        argv += ["--output-dir", str(tmp_path / "run")] + ([] if "--seed" in argv else ["--seed", "1"])
     assert cli_main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field}:"), err
