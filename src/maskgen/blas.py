@@ -1,0 +1,72 @@
+"""A scoped OpenBLAS thread count for training.
+
+Training multiplies many small matrices, one (T, F) @ (F, V) product per
+sequence ((96, 96) @ (96, 64) at the default sizes). A second OpenBLAS
+thread spins on them: it doubles the CPU time and does not shorten the wall
+time. ``one_blas_thread`` pins the OpenBLAS that numpy loaded to one thread
+for the length of a block and then restores the previous count. No result
+depends on the count.
+
+An environment variable cannot do this: OpenBLAS reads its variables once,
+when it loads, and numpy has loaded it before any maskgen code runs. So the
+scope leaves the count alone when the user set one of those variables, and
+it does nothing when no OpenBLAS is loaded. The library is looked up on the
+first use, not at import.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
+
+# variables OpenBLAS reads for its thread count when it loads
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# (get, set) symbol pairs of the builds numpy ships with or links against
+_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the loaded OpenBLAS, or
+    None when the process has none mapped."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, unless the user chose a count
+    through the environment. Also usable as a decorator."""
+    lib = None if any(os.environ.get(name) for name in THREAD_VARIABLES) else _openblas()
+    if lib is None:
+        yield
+        return
+    get, set_ = lib
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

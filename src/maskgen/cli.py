@@ -145,9 +145,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate_steps(args) -> int:
-    cfg = _load_cfg(args)
-    steps = harness._parse_int_tuple(args.steps) if args.steps else None
-    rows = harness.ablate_steps(cfg, steps)
+    rows = harness.ablate_steps(_load_cfg(args))
     for n, acc, edit in rows:
         print(f"n_steps {n:4d}  accuracy {acc:.4f}  edit_distance {edit:.3f}")
     return 0
@@ -233,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("ablate-steps", help="accuracy vs decode step count")
+    p = sub.add_parser("ablate-steps", help="accuracy vs decode step count (--ablate-steps)")
     _add_config_flags(p)
-    p.add_argument("--steps", help="comma-separated step counts (default from config)")
     p.set_defaults(fn=_cmd_ablate_steps)
 
     p = sub.add_parser("compare-modes", help="uniform vs ctf, corrector off/on")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .corpus import Corpus, substitute
 from .decoder import decode
 from .errors import NumericsError
@@ -135,10 +136,12 @@ def bce_loss_and_grads(
     return loss, g_e, g_w, g_b
 
 
+@one_blas_thread()
 def train_corrector(
     corpus: Corpus, hyper: CorrectorTrainConfig
 ) -> tuple[CorrectorModel, list[CorrectorEpochStats]]:
-    """Per-sequence SGD on the substitution-detection objective."""
+    """Per-sequence SGD on the substitution-detection objective, on one
+    OpenBLAS thread (see ``blas``)."""
     rng = np.random.default_rng(hyper.seed)
     model = init_corrector(corpus.vocab_size, hyper.dim, hyper.radius, rng)
     n, t = corpus.num_docs, corpus.seq_len

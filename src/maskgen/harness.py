@@ -217,24 +217,23 @@ def frequency_deciles(table: FrequencyTable) -> np.ndarray:
     return deciles
 
 
-def edit_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Levenshtein distance between two token sequences."""
+def edit_distance(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
+    """Levenshtein distance between two token sequences; for two (N, ·)
+    arrays, the (N,) distances between their rows, by the same recurrence
+    run over all rows at once."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape[0] == 0:
-        return int(b.shape[0])
-    prev = np.arange(b.shape[0] + 1)
-    idx = np.arange(b.shape[0] + 1)
-    for i in range(1, a.shape[0] + 1):
-        sub = prev[:-1] + (b != a[i - 1])
-        best = np.minimum(prev[1:] + 1, sub)  # delete or substitute/match
+    rows_a, rows_b = np.atleast_2d(a), np.atleast_2d(b)
+    idx = np.arange(rows_b.shape[1] + 1)
+    prev = np.tile(idx, (rows_b.shape[0], 1))
+    for i in range(1, rows_a.shape[1] + 1):
+        sub = prev[:, :-1] + (rows_b != rows_a[:, i - 1 : i])
         cur = np.empty_like(prev)
-        cur[0] = i
-        cur[1:] = best
+        cur[:, 0] = i
+        cur[:, 1:] = np.minimum(prev[:, 1:] + 1, sub)  # delete or substitute/match
         # insertion closes over prefixes: cur[j] = min_k<=j (cur[k] + j - k)
-        cur = np.minimum.accumulate(cur - idx) + idx
-        prev = cur
-    return int(prev[-1])
+        prev = np.minimum.accumulate(cur - idx, axis=1) + idx
+    return int(prev[0, -1]) if a.ndim == 1 else prev[:, -1]
 
 
 def evaluate(
@@ -252,11 +251,12 @@ def evaluate(
     results do not depend on evaluation order or worker count.
     """
     deciles = frequency_deciles(freq)
-    hits = total = exact = edit_sum = 0
+    hits = total = exact = 0
     dec_hits = np.zeros(10, dtype=np.int64)
     dec_total = np.zeros(10, dtype=np.int64)
     traces: list[list[StepTrace]] = []
     streams = np.random.SeedSequence(eval_seed).spawn(test_corpus.num_docs)
+    decoded_all = np.empty_like(test_corpus.tokens)
 
     for j in range(test_corpus.num_docs):
         rng = np.random.default_rng(streams[j])
@@ -273,7 +273,7 @@ def evaluate(
         hits += int(hit.sum())
         total += clean.shape[0]
         exact += int(hit.all())
-        edit_sum += edit_distance(decoded, clean)
+        decoded_all[j] = decoded
         np.add.at(dec_hits, deciles[clean], hit.astype(np.int64))
         np.add.at(dec_total, deciles[clean], 1)
 
@@ -290,7 +290,7 @@ def evaluate(
     return MetricsReport(
         overall_accuracy=hits / total,
         exact_match=exact / n,
-        mean_edit_distance=edit_sum / n,
+        mean_edit_distance=int(edit_distance(decoded_all, test_corpus.tokens).sum()) / n,
         decile_accuracy=decile_acc,
         decile_counts=[int(c) for c in dec_total],
         step_trace=mean_trace,

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maskgen
 from maskgen.cli import main as cli_main
@@ -147,6 +149,21 @@ class TestEditDistance:
                         )
             assert edit_distance(a, b) == dp[len(a)][len(b)]
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6), la=st.integers(0, 9), lb=st.integers(0, 9),
+        alphabet=st.integers(1, 4), seed=st.integers(0, 2**16),
+    )
+    def test_batch_equals_pair_calls(self, n, la, lb, alphabet, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, alphabet, size=(n, la))
+        b = rng.integers(0, alphabet, size=(n, lb))
+        batch = edit_distance(a, b)
+        assert batch.shape == (n,)
+        pairs = [edit_distance(a[i], b[i]) for i in range(n)]
+        assert all(type(p) is int for p in pairs)
+        assert batch.tolist() == pairs
+
 
 class TestFrequencyDeciles:
     def test_partition(self):
@@ -187,19 +204,20 @@ class TestRunExperiment:
         # Default vocab_size, seq_len and embed_dim with few docs and one
         # epoch, not tiny_config's sizes: each training product is then
         # (96, 96) @ (96, 64) per sequence, large enough that OpenBLAS splits
-        # it across threads when it has more than one. The in-process run
-        # uses the default thread count of this process.
+        # it across threads when it has more than one. Training pins one
+        # thread unless OPENBLAS_NUM_THREADS is set, so both runs set it.
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("seed = 101\nnum_docs = 20\ntest_docs = 6\nepochs = 1\n")
         src = Path(maskgen.__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
-        subprocess.run(
-            [sys.executable, "-m", "maskgen.cli", "eval", "--config", str(cfg_file), "--output-dir", str(tmp_path / "one")],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        run_experiment(load_config(cfg_file), out_dir=str(tmp_path / "default"))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            subprocess.run(
+                [sys.executable, "-m", "maskgen.cli", "eval", "--config", str(cfg_file),
+                 "--output-dir", str(tmp_path / threads)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
         for name in ("metrics.csv", "deciles.csv", "decode_trace.csv", "learning_curve.csv", "frequency.csv"):
-            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_decile_accuracies_aggregate_to_overall(self, tmp_path):
         report = run_experiment(tiny_config(), out_dir=str(tmp_path))
@@ -389,6 +407,15 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             cli_main(["decode", "--model", "m.bin", "--input", "obs.txt", "--out", "out.txt", "--selection", "sample"])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [["--ablate-steps", "2,x"], ["--steps", "2,10"]], ids=["malformed", "removed"])
+    def test_ablate_steps_usage_errors(self, tmp_path, monkeypatch, flags):
+        # the step counts come only from the config key, whose flag parses them
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ablate-steps", "--seed", "1", *flags])
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
