@@ -186,8 +186,8 @@ def build_conditioning(
     if distorted.min(initial=0) < 0 or distorted.max(initial=0) >= model.vocab_size:
         raise ValueError("distorted token id outside [0, vocab_size)")
     # the ids are checked, so "clip" clips nothing; "raise" would copy through a temporary
-    cond = np.take(model.embedding, distorted, axis=0, mode="clip",
-                   out=_buffer(workspace, "cond", distorted.shape + (model.dim,)))
+    cond = model.embedding.take(distorted, axis=0, mode="clip",
+                                out=_buffer(workspace, "cond", distorted.shape + (model.dim,)))
     return ConditioningContext(cond=cond, global_embed=cond.mean(axis=-2), source_tokens=distorted)
 
 
@@ -228,7 +228,7 @@ def _window_features(
     """([B,] T, F) features: windowed concatenation of per-position vectors
     with the global vector added to the center block."""
     r, d = model.radius, model.dim
-    u = np.take(model.embedding, inputs, axis=0, mode="clip", out=_buffer(ws, "u", inputs.shape + (d,)))
+    u = model.embedding.take(inputs, axis=0, mode="clip", out=_buffer(ws, "u", inputs.shape + (d,)))
     u += ctx.cond
     feats = window(u, r, ws)
     feats[..., r * d : (r + 1) * d] += ctx.global_embed[..., None, :]
