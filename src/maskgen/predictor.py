@@ -333,10 +333,10 @@ def masked_ce_loss(
     # per example, one scatter of both routes' rows into flat (token, k)
     # bins: the order of np.add.at over the same rows
     g_e = np.zeros_like(model.embedding)
-    tokens = np.stack([cache.masked.reshape(-1, t), cache.ctx.source_tokens.reshape(-1, t)], axis=1)[..., None] * d
+    offsets = np.stack([cache.masked.reshape(-1, t), cache.ctx.source_tokens.reshape(-1, t)], axis=1)[..., None] * d
     cols = np.arange(d)
     for b in range(nb):
-        bins = (tokens[b] + cols).ravel()
+        bins = (offsets[b] + cols).ravel()
         g_e += np.bincount(bins, weights=rows[b].ravel(), minlength=g_e.size).reshape(g_e.shape)
     loss = float(losses[0]) if target.ndim == 1 else losses
     return loss, PredictorGradients(embedding=g_e, out_w=g_w, out_b=g_b, logits=pred.probs)
