@@ -34,7 +34,7 @@ a ``_Workspace`` that ``train`` allocates once and hands to
 it. Fresh arrays per minibatch would be handed back to glibc at the end of
 each one; glibc trims the freed top of its heap, and the next minibatch
 faults the same pages in again (about 280 minor page faults per minibatch
-at the default sizes under glibc). Training also runs on one OpenBLAS thread (``blas``).
+at the default sizes). Training runs on one OpenBLAS thread (see ``blas``).
 """
 
 from __future__ import annotations
@@ -251,8 +251,9 @@ def forward(
     are still computed for the whole sequence, because a matrix product over
     fewer rows may round differently.
 
-    With a ``workspace`` every array of the pass, ``probs`` included, is
-    one of its buffers and is overwritten by the next pass that uses it.
+    With a ``workspace`` (and no ``positions``) every array of the pass,
+    ``probs`` included, is one of its buffers and is overwritten by the next
+    pass that uses it.
     """
     masked = np.asarray(masked, dtype=np.int64)
     if masked.shape != ctx.source_tokens.shape:
