@@ -4,7 +4,7 @@ Subcommands: gen-corpus, train, train-corrector, decode, eval,
 ablate-steps, compare-modes, dump-schedule. Flags mirror the experiment
 config keys; any subcommand that draws randomness requires an explicit
 seed (from the config file or --seed). Exit codes: 0 success, 2 config
-error, 3 numeric failure.
+error (an unusable path included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import corpus as corpuslib
 from . import corrector as corrlib
-from . import decoder as declib
 from . import harness, predictor
 from .errors import ConfigError, NumericsError
 from .schedule import MaskMode, ScheduleConfig, dump_schedule_rows
@@ -30,9 +29,7 @@ def _load_cfg(args) -> harness.ExperimentConfig:
         raise ConfigError("seed", "give --config or --seed")
     cfg = harness.load_config(args.config) if args.config else harness.ExperimentConfig(seed=args.seed)
     overrides = {key: getattr(args, key) for key in harness._PARSERS if getattr(args, key) is not None}
-    cfg = replace(cfg, **overrides)
-    harness.validate_config(cfg)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _cmd_gen_corpus(args) -> int:
@@ -51,11 +48,11 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    pipe = harness.build_pipeline(cfg, force_corrector=False)
     model_path = args.model_out or os.path.join(cfg.output_dir, "predictor.bin")
+    run = harness.start_run(cfg, files=(model_path,))
+    pipe = harness.build_pipeline(replace(cfg, use_corrector=False))
     predictor.save_predictor(pipe.model, model_path)
-    harness.write_training_csvs(cfg.output_dir, harness.config_hash(cfg), pipe.history, pipe.freq)
+    harness.write_training_csvs(run, pipe.history, pipe.freq)
     last = pipe.history[-1]
     print(f"trained predictor -> {model_path} (loss/token {last.loss_per_token:.4f}, masked acc {last.masked_acc:.4f})")
     return 0
@@ -63,13 +60,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_train_corrector(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    path = args.model_out or os.path.join(cfg.output_dir, "corrector.bin")
+    harness.start_run(cfg, files=(path,))
     corpus = corpuslib.generate_corpus(
         cfg.vocab_size, cfg.num_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order,
         harness.derive_seeds(cfg.seed)["train_corpus"],
     )
     model, history = harness.fit_corrector(cfg, corpus)
-    path = args.model_out or os.path.join(cfg.output_dir, "corrector.bin")
     corrlib.save_corrector(model, path)
     print(f"trained corrector -> {path} (loss/position {history[-1].loss_per_position:.4f})")
     return 0
@@ -93,8 +90,7 @@ def _cmd_decode(args) -> int:
         harness.check_value("seed", args.seed)
     if args.rounds < 0:
         raise ConfigError("rounds", f"must be >= 0, got {args.rounds}")
-    if not 0.0 <= args.theta <= 1.0:
-        raise ConfigError("theta", f"must be in [0,1], got {args.theta}")
+    harness.check_value("theta", args.theta)
     model = _read("model", predictor.load_predictor, args.model)
     observations = _read("input", corpuslib.load_corpus, args.input)
     freq = _read("freq_csv", corpuslib.load_frequency_csv, args.freq_csv) if args.freq_csv else None
@@ -108,27 +104,19 @@ def _cmd_decode(args) -> int:
     if mode is MaskMode.CTF and freq is None:
         raise ConfigError("freq_csv", "--freq-csv is required for ctf decoding")
     sched = ScheduleConfig(n_steps=args.n_steps, mode=mode)
-    streams = np.random.SeedSequence(args.seed if args.seed is not None else 0).spawn(observations.num_docs)
-    decoded = np.empty_like(observations.tokens)
-    last_trace: list[declib.StepTrace] = []
-    for j in range(observations.num_docs):
-        rng = np.random.default_rng(streams[j])
-        ctx = predictor.build_conditioning(observations.tokens[j], model)
-        p_base = corpuslib.sequence_base_probabilities(freq, observations.tokens[j]) if mode is MaskMode.CTF else None
-        out, last_trace = declib.decode(model, ctx, sched, rng=rng, temperature=args.temperature, p_base=p_base)
-        if corrector is not None:
-            out = corrlib.correct(
-                out, model, ctx, corrector, args.theta, args.rounds,
-                refill=sched if args.refill == "full" else None, p_base=p_base,
-            )
-        decoded[j] = out
+    streams = np.random.SeedSequence(args.seed or 0).spawn(observations.num_docs)
+    decoded, traces = harness.decode_all(
+        model, observations.tokens, sched, freq, corrector, args.theta, args.rounds,
+        refill=sched if args.refill == "full" else None, temperature=args.temperature,
+        rngs=(np.random.default_rng(stream) for stream in streams),
+    )
     corpuslib.save_corpus(
         corpuslib.Corpus(tokens=decoded, vocab_size=model.vocab_size, seed=args.seed or 0), args.out
     )
-    if args.trace:
+    if args.trace:  # the last sequence's trace
         corpuslib.write_csv(
             args.trace, "step,open_count,mean_confidence",
-            [(row.step, row.open_count, row.mean_confidence) for row in last_trace],
+            [(step, int(count), conf) for step, (count, conf) in enumerate(traces[-1:].reshape(-1, 2))],
         )
     print(f"decoded {observations.num_docs} sequences -> {args.out}")
     return 0
@@ -251,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a path that cannot be read or written as asked
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

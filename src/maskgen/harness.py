@@ -5,8 +5,11 @@ Configuration is a flat key-value text file (``key = value`` per line,
 ``#`` comments). All randomness flows from the ``seed`` key: corpus, model
 initialization, masking draws, evaluation corruption, and the corrector all
 derive their streams from it, so a rerun with an identical config produces
-byte-identical CSV artifacts. Every CSV starts with a config-hash comment
-line for exact reproduction.
+byte-identical CSV artifacts. ``start_run`` is the prologue of every run:
+it validates the config, creates the output directories and stamps every
+CSV with a config-hash comment line for exact reproduction. ``decode_all``
+is the one per-sequence inference loop, shared by ``evaluate`` and
+``maskgen decode``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .corpus import (
     sequence_base_probabilities,
     write_csv,
 )
-from .decoder import StepTrace, decode
+from .decoder import decode
 from .errors import ConfigError
 from .predictor import (
     EpochStats,
@@ -136,6 +139,7 @@ _AT_LEAST = {
 }
 _UNIT_INTERVAL = ("rho", "theta")
 _POSITIVE_FINITE = ("lr", "corrector_lr")
+_DISTINCT = ("seeds",)
 
 
 def check_value(key: str, value) -> None:
@@ -150,6 +154,8 @@ def check_value(key: str, value) -> None:
         raise ConfigError(key, f"must be in [0,1], got {value}")
     if key in _POSITIVE_FINITE and not (math.isfinite(value) and value > 0.0):
         raise ConfigError(key, f"must be finite and > 0, got {value}")
+    if key in _DISTINCT and len(set(value)) != len(value):
+        raise ConfigError(key, f"must not repeat an entry, got {value}")
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -177,17 +183,37 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def write_training_csvs(out: str, cfg_hash: str, history: list[EpochStats], freq: FrequencyTable) -> None:
+@dataclass(frozen=True)
+class RunDir:
+    """Output directory of a run and the ``config_hash=`` comment that
+    starts every CSV written there."""
+
+    path: str
+    stamp: str
+
+    def write_csv(self, name: str, header: str, rows: Iterable[Iterable]) -> None:
+        write_csv(os.path.join(self.path, name), header, rows, [self.stamp])
+
+
+def start_run(cfg: ExperimentConfig, out_dir: str | None = None, files: Iterable[str] = ()) -> RunDir:
+    """The prologue of every run: validate ``cfg``, create the output
+    directory (``out_dir``, else ``cfg.output_dir``) and that of each
+    further output file in ``files``, before any training, and hash ``cfg``."""
+    validate_config(cfg)
+    run = RunDir(out_dir if out_dir is not None else cfg.output_dir, f"config_hash={config_hash(cfg)}")
+    for directory in (run.path, *(os.path.dirname(f) for f in files)):
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+    return run
+
+
+def write_training_csvs(run: RunDir, history: list[EpochStats], freq: FrequencyTable) -> None:
     """``learning_curve.csv`` (``epoch,loss,masked_acc``, loss per masked
     token) and ``frequency.csv`` of a trained predictor, as ``eval`` and
     ``train`` write them."""
-    write_csv(
-        os.path.join(out, "learning_curve.csv"),
-        "epoch,loss,masked_acc",
-        [(row.epoch, row.loss_per_token, row.masked_acc) for row in history],
-        [f"config_hash={cfg_hash}"],
-    )
-    save_frequency_csv(freq, os.path.join(out, "frequency.csv"), comment=f"config_hash={cfg_hash}")
+    run.write_csv("learning_curve.csv", "epoch,loss,masked_acc",
+                  [(row.epoch, row.loss_per_token, row.masked_acc) for row in history])
+    save_frequency_csv(freq, os.path.join(run.path, "frequency.csv"), comment=run.stamp)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +262,33 @@ def edit_distance(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
     return int(prev[0, -1]) if a.ndim == 1 else prev[:, -1]
 
 
+def decode_all(
+    model: PredictorModel, observations: np.ndarray, sched: ScheduleConfig, freq: FrequencyTable | None,
+    corrector: CorrectorModel | None, theta: float, rounds: int, refill: ScheduleConfig | None,
+    temperature: float, rngs: Iterable[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one per-sequence inference loop over the rows of the (N, T)
+    ``observations``, with one generator per row from ``rngs``.
+
+    Each sequence is conditioned on its observation, given its rarity
+    priors from ``freq`` (CTF only), decoded at ``temperature``, and, with a
+    corrector, corrected with ``theta``, ``rounds`` and ``refill`` (see
+    ``correct``). Returns the (N, T) decoded tokens and the (N, n_steps, 2)
+    trace rows (open count, mean confidence) of every decode.
+    """
+    decoded = np.empty_like(observations)
+    traces = np.empty((observations.shape[0], sched.n_steps, 2))
+    for j, (obs, rng) in enumerate(zip(observations, rngs, strict=True)):
+        ctx = build_conditioning(obs, model)
+        p_base = sequence_base_probabilities(freq, obs) if sched.mode is MaskMode.CTF else None
+        out, trace = decode(model, ctx, sched, rng=rng, temperature=temperature, p_base=p_base)
+        if corrector is not None:
+            out = correct(out, model, ctx, corrector, theta, rounds, refill=refill, p_base=p_base)
+        decoded[j] = out
+        traces[j] = [(row.open_count, row.mean_confidence) for row in trace]
+    return decoded, traces
+
+
 def evaluate(
     model: PredictorModel,
     test_corpus: Corpus,
@@ -245,53 +298,30 @@ def evaluate(
     eval_seed: int,
     corrector: CorrectorModel | None = None,
 ) -> MetricsReport:
-    """Decode every held-out sequence and score against the clean tokens.
-
-    Each sequence gets its own RNG stream derived from ``eval_seed``, so
-    results do not depend on evaluation order or worker count.
+    """Distort, decode and correct every held-out sequence and score it
+    against the clean tokens. Each sequence draws from its own RNG stream
+    derived from ``eval_seed``, so results do not depend on evaluation order.
     """
-    deciles = frequency_deciles(freq)
-    hits = total = exact = 0
-    dec_hits = np.zeros(10, dtype=np.int64)
-    dec_total = np.zeros(10, dtype=np.int64)
-    traces: list[list[StepTrace]] = []
-    streams = np.random.SeedSequence(eval_seed).spawn(test_corpus.num_docs)
-    decoded_all = np.empty_like(test_corpus.tokens)
+    clean = test_corpus.tokens
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(eval_seed).spawn(test_corpus.num_docs)]
+    distorted = np.stack([corrupt_sequence(row, test_corpus.vocab_size, cfg.rho, rng) for row, rng in zip(clean, rngs)])
+    decoded, traces = decode_all(
+        model, distorted, sched, freq, corrector, cfg.theta, cfg.corrector_rounds,
+        refill=None, temperature=0.0, rngs=rngs,
+    )
 
-    for j in range(test_corpus.num_docs):
-        rng = np.random.default_rng(streams[j])
-        clean = test_corpus.tokens[j]
-        distorted = corrupt_sequence(clean, test_corpus.vocab_size, cfg.rho, rng)
-        ctx = build_conditioning(distorted, model)
-        p_base = sequence_base_probabilities(freq, distorted) if sched.mode is MaskMode.CTF else None
-        decoded, trace = decode(model, ctx, sched, p_base=p_base)
-        if corrector is not None:
-            decoded = correct(decoded, model, ctx, corrector, cfg.theta, cfg.corrector_rounds)
-        traces.append(trace)
-
-        hit = decoded == clean
-        hits += int(hit.sum())
-        total += clean.shape[0]
-        exact += int(hit.all())
-        decoded_all[j] = decoded
-        np.add.at(dec_hits, deciles[clean], hit.astype(np.int64))
-        np.add.at(dec_total, deciles[clean], 1)
-
+    hit = decoded == clean
+    deciles = frequency_deciles(freq)[clean]
+    dec_hits = np.bincount(deciles[hit], minlength=10)
+    dec_total = np.bincount(deciles.ravel(), minlength=10)
     n = test_corpus.num_docs
-    mean_trace = [
-        (
-            i,
-            float(np.mean([t[i].open_count for t in traces])),
-            float(np.mean([t[i].mean_confidence for t in traces])),
-        )
-        for i in range(sched.n_steps)
-    ]
-    decile_acc = [float(dec_hits[d] / dec_total[d]) if dec_total[d] else float("nan") for d in range(10)]
+    # per-step means of 1-D columns: a mean over axis 0 sums in another order
+    mean_trace = [(i, float(traces[:, i, 0].mean()), float(traces[:, i, 1].mean())) for i in range(sched.n_steps)]
     return MetricsReport(
-        overall_accuracy=hits / total,
-        exact_match=exact / n,
-        mean_edit_distance=int(edit_distance(decoded_all, test_corpus.tokens).sum()) / n,
-        decile_accuracy=decile_acc,
+        overall_accuracy=int(hit.sum()) / clean.size,
+        exact_match=int(hit.all(axis=1).sum()) / n,
+        mean_edit_distance=int(edit_distance(decoded, clean).sum()) / n,
+        decile_accuracy=[float(h / t) if t else float("nan") for h, t in zip(dec_hits, dec_total)],
         decile_counts=[int(c) for c in dec_total],
         step_trace=mean_trace,
     )
@@ -324,7 +354,7 @@ def derive_seeds(master: int) -> dict[str, int]:
     return {name: int(v) for name, v in zip(names, draws)}
 
 
-def build_pipeline(cfg: ExperimentConfig, force_corrector: bool | None = None) -> TrainedPipeline:
+def build_pipeline(cfg: ExperimentConfig) -> TrainedPipeline:
     """Generate corpora, fit the predictor (and corrector if enabled).
 
     The held-out docs are the tail of one generation whose head is the
@@ -340,8 +370,7 @@ def build_pipeline(cfg: ExperimentConfig, force_corrector: bool | None = None) -
     test_corpus = replace(docs, tokens=docs.tokens[cfg.num_docs :])
     freq = document_frequency(train_corpus)
     sched, model, history = _fit_predictor(cfg, train_corpus, freq)
-    use_corr = cfg.use_corrector if force_corrector is None else force_corrector
-    corrector = fit_corrector(cfg, train_corpus)[0] if use_corr else None
+    corrector = fit_corrector(cfg, train_corpus)[0] if cfg.use_corrector else None
     return TrainedPipeline(
         train_corpus=train_corpus, test_corpus=test_corpus, freq=freq, sched=sched,
         model=model, history=history, corrector=corrector, eval_seed=seeds["eval"],
@@ -378,59 +407,40 @@ def fit_corrector(cfg: ExperimentConfig, train_corpus: Corpus) -> tuple[Correcto
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> MetricsReport:
     """End-to-end run with all CSV artifacts written to the output directory."""
-    validate_config(cfg)
-    out = out_dir if out_dir is not None else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    h = config_hash(cfg)
-
+    run = start_run(cfg, out_dir)
     pipe = build_pipeline(cfg)
     report = evaluate(pipe.model, pipe.test_corpus, pipe.freq, pipe.sched, cfg, pipe.eval_seed, pipe.corrector)
 
-    write_csv(
-        os.path.join(out, "metrics.csv"),
-        "overall_accuracy,exact_match,mean_edit_distance",
-        [(report.overall_accuracy, report.exact_match, report.mean_edit_distance)],
-        [f"config_hash={h}"],
-    )
+    run.write_csv("metrics.csv", "overall_accuracy,exact_match,mean_edit_distance",
+                  [(report.overall_accuracy, report.exact_match, report.mean_edit_distance)])
     token_deciles = frequency_deciles(pipe.freq)
-    write_csv(
-        os.path.join(out, "deciles.csv"),
+    run.write_csv(
+        "deciles.csv",
         "decile,token_count,position_count,accuracy",
         [
             (d, int((token_deciles == d).sum()), report.decile_counts[d], report.decile_accuracy[d])
             for d in range(10)
         ],
-        [f"config_hash={h}"],
     )
-    write_csv(
-        os.path.join(out, "decode_trace.csv"),
-        "step,open_count,mean_confidence",
-        report.step_trace,
-        [f"config_hash={h}"],
-    )
-    write_training_csvs(out, h, pipe.history, pipe.freq)
+    run.write_csv("decode_trace.csv", "step,open_count,mean_confidence", report.step_trace)
+    write_training_csvs(run, pipe.history, pipe.freq)
     return report
 
 
-def ablate_steps(cfg: ExperimentConfig, steps: Iterable[int] | None = None, out_dir: str | None = None) -> list[tuple[int, float, float]]:
-    """One decode evaluation per step count, sharing the trained model and
-    all seeds. Emits ``n_steps,accuracy,edit_distance``."""
-    validate_config(cfg)
-    step_list = tuple(steps) if steps is not None else cfg.ablate_steps
-    if not step_list:
-        raise ConfigError("ablate_steps", "need at least one step count")
-    if min(step_list) < 1 or max(step_list) > cfg.seq_len:
-        raise ConfigError("ablate_steps", "every step count must lie in [1, seq_len]")
-    out = out_dir if out_dir is not None else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+def ablate_steps(cfg: ExperimentConfig, out_dir: str | None = None) -> list[tuple[int, float, float]]:
+    """One decode evaluation per step count of ``cfg.ablate_steps``, sharing
+    the trained model and all seeds. Emits ``n_steps,accuracy,edit_distance``."""
+    if not cfg.ablate_steps or min(cfg.ablate_steps) < 1 or max(cfg.ablate_steps) > cfg.seq_len:
+        raise ConfigError("ablate_steps", f"need step counts in [1, seq_len {cfg.seq_len}], got {cfg.ablate_steps}")
+    run = start_run(cfg, out_dir)
 
     pipe = build_pipeline(cfg)
     rows = []
-    for n in step_list:
-        sched_n = replace(pipe.sched, n_steps=int(n))
+    for n in cfg.ablate_steps:
+        sched_n = replace(pipe.sched, n_steps=n)
         report = evaluate(pipe.model, pipe.test_corpus, pipe.freq, sched_n, cfg, pipe.eval_seed, pipe.corrector)
-        rows.append((int(n), report.overall_accuracy, report.mean_edit_distance))
-    write_csv(os.path.join(out, "ablate_steps.csv"), "n_steps,accuracy,edit_distance", rows, [f"config_hash={config_hash(cfg)}"])
+        rows.append((n, report.overall_accuracy, report.mean_edit_distance))
+    run.write_csv("ablate_steps.csv", "n_steps,accuracy,edit_distance", rows)
     return rows
 
 
@@ -438,12 +448,9 @@ def compare_masking_modes(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     """Four cells (uniform/ctf x corrector off/on) per seed, with shared
     corpora and seeds across cells. Returns reports keyed by
     (seed, mode, corrector_on) and writes summary plus per-decile CSVs."""
-    validate_config(cfg)
     if not cfg.seeds:
         raise ConfigError("seeds", "need at least one seed for paired comparisons")
-    out = out_dir if out_dir is not None else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    h = config_hash(cfg)
+    run = start_run(cfg, out_dir)
 
     results: dict[tuple[int, str, bool], MetricsReport] = {}
     summary_rows = []
@@ -452,9 +459,9 @@ def compare_masking_modes(cfg: ExperimentConfig, out_dir: str | None = None) -> 
         # corpora, frequency table and corrector do not depend on the mode,
         # and each stage draws from its own sub-seed: only the predictor is
         # trained again for the second mode
-        pipe = build_pipeline(replace(cfg, seed=int(seed), mask_mode="uniform"), force_corrector=True)
+        pipe = build_pipeline(replace(cfg, seed=seed, mask_mode="uniform", use_corrector=True))
         for mode in ("uniform", "ctf"):
-            cell_cfg = replace(cfg, seed=int(seed), mask_mode=mode)
+            cell_cfg = replace(cfg, seed=seed, mask_mode=mode)
             if mode != "uniform":
                 sched, model, history = _fit_predictor(cell_cfg, pipe.train_corpus, pipe.freq)
                 pipe = replace(pipe, sched=sched, model=model, history=history)
@@ -463,26 +470,17 @@ def compare_masking_modes(cfg: ExperimentConfig, out_dir: str | None = None) -> 
                     pipe.model, pipe.test_corpus, pipe.freq, pipe.sched, cell_cfg,
                     pipe.eval_seed, pipe.corrector if use_corr else None,
                 )
-                results[(int(seed), mode, use_corr)] = report
-                bottom = report.decile_accuracy[0]
+                results[(seed, mode, use_corr)] = report
+                cell = (seed, mode, int(use_corr))
                 summary_rows.append(
-                    (int(seed), mode, int(use_corr), report.overall_accuracy,
-                     report.exact_match, report.mean_edit_distance, bottom, report.decile_counts[0])
+                    (*cell, report.overall_accuracy, report.exact_match, report.mean_edit_distance,
+                     report.decile_accuracy[0], report.decile_counts[0])
                 )
-                for d in range(10):
-                    decile_rows.append(
-                        (int(seed), mode, int(use_corr), d, report.decile_counts[d], report.decile_accuracy[d])
-                    )
-    write_csv(
-        os.path.join(out, "compare_modes.csv"),
+                decile_rows.extend((*cell, d, report.decile_counts[d], report.decile_accuracy[d]) for d in range(10))
+    run.write_csv(
+        "compare_modes.csv",
         "seed,mask_mode,corrector,overall_accuracy,exact_match,mean_edit_distance,bottom_decile_accuracy,bottom_decile_count",
         summary_rows,
-        [f"config_hash={h}"],
     )
-    write_csv(
-        os.path.join(out, "compare_modes_deciles.csv"),
-        "seed,mask_mode,corrector,decile,position_count,accuracy",
-        decile_rows,
-        [f"config_hash={h}"],
-    )
+    run.write_csv("compare_modes_deciles.csv", "seed,mask_mode,corrector,decile,position_count,accuracy", decile_rows)
     return results

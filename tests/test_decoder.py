@@ -503,21 +503,36 @@ class TestConfidence:
         assert pred.probs[0].argmax() == 0
 
 
-# The functions allowed to use the predictor's ``forward``: ``decode``, which
-# fills every masked position (a corrector refill included), and the
-# training objective.
-FORWARD_USERS = {("decoder", "decode"), ("predictor", "example_loss"), ("predictor", "_train_batch")}
-
-
-def test_only_decode_and_training_call_forward():
+def _functions_using(name):
+    """(module, function) of every function in ``src/maskgen`` that names
+    ``name``, bare or as an attribute."""
     src = Path(__file__).resolve().parents[1] / "src" / "maskgen"
     users = set()
     for path in sorted(src.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Name) and node.id == "forward" or (
-                        isinstance(node, ast.Attribute) and node.attr == "forward"
+                    if isinstance(node, ast.Name) and node.id == name or (
+                        isinstance(node, ast.Attribute) and node.attr == name
                     ):
                         users.add((path.stem, fn.name))
-    assert users == FORWARD_USERS
+    return users
+
+
+# The functions allowed to use the predictor's ``forward``: ``decode``, which
+# fills every masked position (a corrector refill included), and the
+# training objective.
+FORWARD_USERS = {("decoder", "decode"), ("predictor", "example_loss"), ("predictor", "_train_batch")}
+
+# The functions allowed to call ``decode``: the one per-sequence inference
+# loop, which ``evaluate`` and ``maskgen decode`` share, and the corrector's
+# refill. A second copy of the loop would show up here.
+DECODE_USERS = {("harness", "decode_all"), ("corrector", "correct")}
+
+
+def test_only_decode_and_training_call_forward():
+    assert _functions_using("forward") == FORWARD_USERS
+
+
+def test_only_the_inference_loop_and_correct_call_decode():
+    assert _functions_using("decode") == DECODE_USERS

@@ -242,19 +242,19 @@ class TestRunExperiment:
 class TestAblateSteps:
     def test_rows_and_csv(self, tmp_path):
         cfg = tiny_config()
-        rows = ablate_steps(cfg, steps=(1, 2, 4), out_dir=str(tmp_path))
+        rows = ablate_steps(replace(cfg, ablate_steps=(1, 2, 4)), out_dir=str(tmp_path))
         assert [r[0] for r in rows] == [1, 2, 4]
         lines = (tmp_path / "ablate_steps.csv").read_text().splitlines()
         assert lines[1] == "n_steps,accuracy,edit_distance"
         assert len(lines) == 2 + 3
 
     def test_single_step_list(self, tmp_path):
-        rows = ablate_steps(tiny_config(), steps=(1,), out_dir=str(tmp_path))
+        rows = ablate_steps(tiny_config(ablate_steps=(1,)), out_dir=str(tmp_path))
         assert len(rows) == 1
 
     def test_invalid_steps_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ablate_steps"):
-            ablate_steps(tiny_config(), steps=(0, 4), out_dir=str(tmp_path))
+            ablate_steps(tiny_config(ablate_steps=(0, 4)), out_dir=str(tmp_path))
 
 
 class TestCompareModes:
@@ -306,7 +306,7 @@ class TestCompareModes:
         # the shared set-up gives the cells a pipeline built per mode gives
         for mode in ("uniform", "ctf"):
             cell_cfg = replace(cfg, seed=5, mask_mode=mode)
-            pipe = build_pipeline(cell_cfg, force_corrector=True)
+            pipe = build_pipeline(replace(cell_cfg, use_corrector=True))
             report = evaluate(pipe.model, pipe.test_corpus, pipe.freq, pipe.sched, cell_cfg, pipe.eval_seed,
                               pipe.corrector)
             assert repr(results[(5, mode, True)]) == repr(report)
@@ -492,6 +492,7 @@ DECODE_EXIT_CODES = {
     "negative_seed": (["--seed", "-1"], 2),
     "input_trailing_lines": (["--input", "{d}/obs_trailing.txt"], 2),
     "negative_rounds": (["--corrector", "{d}/corr.bin", "--rounds", "-1"], 2),
+    "trace_under_a_file": (["--trace", "{d}/model.bin/trace.csv"], 2),
     "theta_above_one": (["--corrector", "{d}/corr.bin", "--theta", "1.5"], 2),
     "nan_model": (["--model", "{d}/nan.bin"], 3),
 }
@@ -529,6 +530,7 @@ CONFIG_VALUE_EXIT_CODES = {
     "eval_corrector_lr_inf": ("corrector_lr", ["eval", "--corrector-lr", "inf"]),
     "eval_seed": ("seed", ["eval", "--seed", "-1"]),
     "compare_modes_seeds": ("seeds", ["compare-modes", "--seeds", "4,-1"]),
+    "compare_modes_repeated_seeds": ("seeds", ["compare-modes", "--seeds", "5,5"]),
     "gen_corpus_vocab_size": ("vocab_size", GEN_CORPUS + ["--vocab-size", "1", "--num-docs", "2", "--seq-len", "4"]),
     "gen_corpus_num_docs": ("num_docs", GEN_CORPUS + ["--vocab-size", "4", "--num-docs", "0", "--seq-len", "4"]),
     "gen_corpus_seed": (
@@ -553,3 +555,38 @@ def test_config_value_exit_codes(tmp_path, capsys, field, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field}:"), err
     assert not any(tmp_path.iterdir())  # rejected before anything is written
+
+
+# {file} is a regular file and {dir} a directory, both made before the run
+PATH_EXIT_CODES = {
+    "eval_output_dir_is_a_file": ["eval", "--seed", "1", "--output-dir", "{file}"],
+    "eval_output_dir_under_a_file": ["eval", "--seed", "1", "--output-dir", "{file}/sub"],
+    "eval_config_is_a_directory": ["eval", "--config", "{dir}"],
+    "train_model_out_under_a_file": ["train", "--seed", "1", "--output-dir", "{dir}/run", "--model-out", "{file}/m.bin"],
+    "train_corrector_model_out_under_a_file": [
+        "train-corrector", "--seed", "1", "--output-dir", "{dir}/run", "--model-out", "{file}/c.bin",
+    ],
+    "gen_corpus_out_under_a_file": [
+        "gen-corpus", "--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--seed", "1", "--out", "{file}/x.txt",
+    ],
+    "dump_schedule_out_under_a_file": ["dump-schedule", "--n-steps", "2", "--seq-len", "4", "--out", "{file}/s.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", list(PATH_EXIT_CODES.values()), ids=list(PATH_EXIT_CODES))
+def test_unusable_path_exit_codes(tmp_path, capsys, monkeypatch, argv):
+    import maskgen.harness as harness_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before its output paths were checked")
+
+    monkeypatch.setattr(harness_mod, "train", no_training)
+    monkeypatch.setattr(harness_mod, "train_corrector", no_training)
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "dir").mkdir()
+    argv = [a.format(file=tmp_path / "file", dir=tmp_path / "dir") for a in argv]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert str(tmp_path) in err[0]  # names the path
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "file"]

@@ -1,4 +1,4 @@
-"""Bit-for-bit pins of predictor and corrector training.
+"""Bit-for-bit pins of training and of the per-sequence inference loop.
 
 ``oracle_train`` and ``oracle_train_corrector`` are frozen copies of the
 per-example training loops, with the windowed feature concatenation, its
@@ -6,15 +6,43 @@ adjoint, the substitution channel and the mask draw written out inline.
 Training through the library must reproduce every parameter array and every
 statistics field exactly, so a refactor of the shared plumbing cannot move a
 single bit of a trained model or a learning curve.
+
+``oracle_evaluate`` and ``oracle_cli_decode`` are frozen copies of the two
+per-sequence loops that ``evaluate`` and ``maskgen decode`` ran before they
+shared ``harness.decode_all``: distortion, conditioning, rarity priors,
+decode and correction one sequence at a time, scored with ``np.add.at``.
+The reports, the decoded tokens and the trace file must match them exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maskgen.corpus import document_frequency, generate_corpus, sequence_base_probabilities
-from maskgen.corrector import CorrectorTrainConfig, init_corrector, train_corrector
-from maskgen.predictor import TrainConfig, build_conditioning, init_model, train
+from maskgen.cli import main as cli_main
+from maskgen.corpus import (
+    corrupt_sequence,
+    document_frequency,
+    generate_corpus,
+    load_corpus,
+    save_corpus,
+    save_frequency_csv,
+    sequence_base_probabilities,
+    write_csv,
+)
+from maskgen.corrector import CorrectorTrainConfig, correct, init_corrector, save_corrector, train_corrector
+from maskgen.decoder import decode
+from maskgen.harness import (
+    ExperimentConfig,
+    MetricsReport,
+    build_pipeline,
+    edit_distance,
+    evaluate,
+    frequency_deciles,
+)
+from maskgen.predictor import TrainConfig, build_conditioning, init_model, save_predictor, train
 from maskgen.schedule import MaskMode, ScheduleConfig, apply_mask, cosine_probability, ctf_probabilities
 
 
@@ -196,3 +224,132 @@ def test_train_corrector_matches_frozen_oracle(radius, dim, max_rate, seed):
     assert _bits(model.w) == _bits(frozen.w)
     assert _bits([model.b]) == _bits([frozen.b])
     assert repr([(h.epoch, h.loss_per_position) for h in history]) == repr(frozen_history)
+
+
+def oracle_evaluate(model, test_corpus, freq, sched, cfg, eval_seed, corrector=None):
+    deciles = frequency_deciles(freq)
+    hits = total = exact = 0
+    dec_hits = np.zeros(10, dtype=np.int64)
+    dec_total = np.zeros(10, dtype=np.int64)
+    traces = []
+    streams = np.random.SeedSequence(eval_seed).spawn(test_corpus.num_docs)
+    decoded_all = np.empty_like(test_corpus.tokens)
+    for j in range(test_corpus.num_docs):
+        rng = np.random.default_rng(streams[j])
+        clean = test_corpus.tokens[j]
+        distorted = corrupt_sequence(clean, test_corpus.vocab_size, cfg.rho, rng)
+        ctx = build_conditioning(distorted, model)
+        p_base = sequence_base_probabilities(freq, distorted) if sched.mode is MaskMode.CTF else None
+        decoded, trace = decode(model, ctx, sched, p_base=p_base)
+        if corrector is not None:
+            decoded = correct(decoded, model, ctx, corrector, cfg.theta, cfg.corrector_rounds)
+        traces.append(trace)
+        hit = decoded == clean
+        hits += int(hit.sum())
+        total += clean.shape[0]
+        exact += int(hit.all())
+        decoded_all[j] = decoded
+        np.add.at(dec_hits, deciles[clean], hit.astype(np.int64))
+        np.add.at(dec_total, deciles[clean], 1)
+    n = test_corpus.num_docs
+    mean_trace = [
+        (
+            i,
+            float(np.mean([t[i].open_count for t in traces])),
+            float(np.mean([t[i].mean_confidence for t in traces])),
+        )
+        for i in range(sched.n_steps)
+    ]
+    decile_acc = [float(dec_hits[d] / dec_total[d]) if dec_total[d] else float("nan") for d in range(10)]
+    return MetricsReport(
+        overall_accuracy=hits / total,
+        exact_match=exact / n,
+        mean_edit_distance=int(edit_distance(decoded_all, test_corpus.tokens).sum()) / n,
+        decile_accuracy=decile_acc,
+        decile_counts=[int(c) for c in dec_total],
+        step_trace=mean_trace,
+    )
+
+
+def oracle_cli_decode(model, observations, sched, freq, corrector, theta, rounds, refill, temperature, seed):
+    """Decoded tokens and the last sequence's trace rows, as ``maskgen
+    decode`` wrote them."""
+    streams = np.random.SeedSequence(seed if seed is not None else 0).spawn(observations.shape[0])
+    decoded = np.empty_like(observations)
+    last_trace = []
+    for j in range(observations.shape[0]):
+        rng = np.random.default_rng(streams[j])
+        ctx = build_conditioning(observations[j], model)
+        p_base = sequence_base_probabilities(freq, observations[j]) if sched.mode is MaskMode.CTF else None
+        out, last_trace = decode(model, ctx, sched, rng=rng, temperature=temperature, p_base=p_base)
+        if corrector is not None:
+            out = correct(
+                out, model, ctx, corrector, theta, rounds,
+                refill=sched if refill == "full" else None, p_base=p_base,
+            )
+        decoded[j] = out
+    return decoded, [(row.step, row.open_count, row.mean_confidence) for row in last_trace]
+
+
+# At theta 0.05 the briefly trained corrector changes tokens in every
+# setting below, and a full refill ends on other tokens than a single-step
+# one, so both refills are part of what is pinned
+LOOP_CONFIG = ExperimentConfig(
+    seed=3, vocab_size=16, num_docs=48, test_docs=12, seq_len=24, n_steps=6, embed_dim=8, epochs=2,
+    use_corrector=True, corrector_dim=6, corrector_epochs=2, theta=0.05,
+)
+
+
+@pytest.fixture(scope="module")
+def loop_pipeline():
+    return build_pipeline(LOOP_CONFIG)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "ctf"])
+@pytest.mark.parametrize("use_corrector", [False, True], ids=["plain", "corrector"])
+def test_evaluate_matches_frozen_loop(loop_pipeline, mode, use_corrector):
+    pipe = loop_pipeline
+    sched = replace(pipe.sched, mode=MaskMode(mode))
+    corrector = pipe.corrector if use_corrector else None
+    args = (pipe.model, pipe.test_corpus, pipe.freq, sched, LOOP_CONFIG, pipe.eval_seed, corrector)
+    assert repr(evaluate(*args)) == repr(oracle_evaluate(*args))
+
+
+@pytest.fixture(scope="module")
+def decode_files(loop_pipeline, tmp_path_factory):
+    d = tmp_path_factory.mktemp("decode_loop")
+    pipe = loop_pipeline
+    save_predictor(pipe.model, d / "model.bin")
+    save_corrector(pipe.corrector, d / "corr.bin")
+    save_frequency_csv(pipe.freq, d / "freq.csv")
+    rng = np.random.default_rng(7)
+    observations = np.stack([corrupt_sequence(row, 16, 0.3, rng) for row in pipe.test_corpus.tokens])
+    save_corpus(replace(pipe.test_corpus, tokens=observations), d / "obs.txt")
+    return d
+
+
+@pytest.mark.parametrize("mode", ["uniform", "ctf"])
+@pytest.mark.parametrize("refill", [None, "single", "full"], ids=["plain", "single", "full"])
+@pytest.mark.parametrize("temperature,seed", [(0.0, None), (0.8, 3)], ids=["greedy", "sampled"])
+def test_cli_decode_matches_frozen_loop(loop_pipeline, decode_files, tmp_path, mode, refill, temperature, seed):
+    d, pipe = decode_files, loop_pipeline
+    argv = [
+        "decode", "--model", str(d / "model.bin"), "--input", str(d / "obs.txt"), "--out", str(tmp_path / "out.txt"),
+        "--n-steps", "6", "--mask-mode", mode, "--freq-csv", str(d / "freq.csv"), "--theta", str(LOOP_CONFIG.theta),
+        "--temperature", str(temperature), "--trace", str(tmp_path / "trace.csv"),
+    ]
+    if refill is not None:
+        argv += ["--corrector", str(d / "corr.bin"), "--refill", refill]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert cli_main(argv) == 0
+
+    observations = load_corpus(d / "obs.txt").tokens
+    sched = replace(pipe.sched, mode=MaskMode(mode))
+    corrector = pipe.corrector if refill is not None else None
+    tokens, trace = oracle_cli_decode(
+        pipe.model, observations, sched, pipe.freq, corrector, LOOP_CONFIG.theta, 2, refill, temperature, seed
+    )
+    assert load_corpus(tmp_path / "out.txt").tokens.tobytes() == tokens.tobytes()
+    write_csv(tmp_path / "frozen_trace.csv", "step,open_count,mean_confidence", trace)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "frozen_trace.csv").read_bytes()

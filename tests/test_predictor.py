@@ -19,7 +19,7 @@ from helpers import (
 
 from maskgen.corpus import Corpus, generate_corpus, document_frequency
 from maskgen.errors import NumericsError
-from maskgen.harness import write_training_csvs
+from maskgen.harness import RunDir, write_training_csvs
 from maskgen.predictor import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -299,7 +299,7 @@ class TestTrain:
         freq = document_frequency(corpus)
         cfg = TrainConfig(lr=0.5, epochs=3, batch=4, rho=0.2, seed=17, dim=4, radius=1)
         _, history = train(corpus, freq, small_sched(8), cfg)
-        write_training_csvs(str(tmp_path), "x", history, freq)
+        write_training_csvs(RunDir(str(tmp_path), "config_hash=x"), history, freq)
         lines = (tmp_path / "learning_curve.csv").read_text().splitlines()
         assert lines[0] == "# config_hash=x"
         assert lines[1] == "epoch,loss,masked_acc"
