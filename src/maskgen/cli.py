@@ -32,9 +32,20 @@ def _load_cfg(args) -> harness.ExperimentConfig:
     return replace(cfg, **overrides)
 
 
+def _check_writable(field: str, path) -> None:
+    """Before any work: ``path`` must name a file in an existing directory,
+    so that writing it at the end cannot fail on the path."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory) or os.path.isdir(path) or not os.access(directory, os.W_OK):
+        raise ConfigError(field, f"cannot write {path}")
+
+
 def _cmd_gen_corpus(args) -> int:
     for key in ("vocab_size", "num_docs", "seq_len", "zipf_exponent", "seed"):
         harness.check_value(key, getattr(args, key))
+    _check_writable("out", args.out)
+    if args.freq_csv:
+        _check_writable("freq_csv", args.freq_csv)
     corpus = corpuslib.generate_corpus(
         args.vocab_size, args.num_docs, args.seq_len, args.zipf_exponent, args.markov_order, args.seed
     )
@@ -91,6 +102,9 @@ def _cmd_decode(args) -> int:
     if args.rounds < 0:
         raise ConfigError("rounds", f"must be >= 0, got {args.rounds}")
     harness.check_value("theta", args.theta)
+    _check_writable("out", args.out)
+    if args.trace:
+        _check_writable("trace", args.trace)
     model = _read("model", predictor.load_predictor, args.model)
     observations = _read("input", corpuslib.load_corpus, args.input)
     freq = _read("freq_csv", corpuslib.load_frequency_csv, args.freq_csv) if args.freq_csv else None

@@ -7,9 +7,15 @@ initialization, masking draws, evaluation corruption, and the corrector all
 derive their streams from it, so a rerun with an identical config produces
 byte-identical CSV artifacts. ``start_run`` is the prologue of every run:
 it validates the config, creates the output directories and stamps every
-CSV with a config-hash comment line for exact reproduction. ``decode_all``
-is the one per-sequence inference loop, shared by ``evaluate`` and
-``maskgen decode``.
+CSV with a config-hash comment line for exact reproduction.
+
+``decode_all`` runs the one per-sequence inference loop, ``_decode_rows``,
+for ``evaluate`` and ``maskgen decode``. Rows are independent, so it splits
+them into contiguous shards, one per CPU the process may run on (its
+``os.sched_getaffinity`` mask), and decodes every shard but the first in a
+child forked by ``fan_out``. The output is byte-identical for every number
+of shards; ``taskset -c 0`` gives a one-process run. Forked children's CPU
+time and memory do not show in the parent's ``getrusage(RUSAGE_SELF)``.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import pickle
 from dataclasses import dataclass, fields, replace
-from typing import Iterable
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .corrector import CorrectorEpochStats, CorrectorModel, CorrectorTrainConfig, correct, train_corrector
 from .corpus import (
     Corpus,
@@ -262,10 +270,109 @@ def edit_distance(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
     return int(prev[0, -1]) if a.ndim == 1 else prev[:, -1]
 
 
+def fan_out(work: Callable, jobs: Sequence) -> list:
+    """``[work(job) for job in jobs]`` for at least one job, with every job
+    after the first run in a child forked for it; this process runs the
+    first. Every process runs on one OpenBLAS thread (see ``blas``), so k
+    processes never run more than k threads.
+
+    A child sends back its pickled result, or the exception it raised,
+    through a pipe, and always leaves through ``os._exit``: it never runs
+    the caller's code after the fork. On every path every pipe is read or
+    closed and then every child is reaped; after that the first error in
+    job order is raised. A child that ends without a result raises
+    ``ChildProcessError``.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
+    payloads: list[bytes] = []
+    with one_blas_thread():
+        try:
+            for job in jobs[1:]:
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    _child(work, job, write_fd, [read_fd, *(fd for _, fd in children)])
+                os.close(write_fd)
+                children.append((pid, read_fd))
+            results = [work(jobs[0])]
+            # a child blocks on a result larger than the pipe buffer until it is read
+            for _, fd in children:
+                with open(fd, "rb", closefd=False) as pipe:
+                    payloads.append(pipe.read())
+        finally:
+            for _, fd in children:
+                os.close(fd)
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for (pid, _), code, payload in zip(children, codes, payloads, strict=True):
+        if code != 0:
+            raise ChildProcessError(f"worker process {pid} ended with exit code {code} and sent no result")
+        result, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
+def _child(work: Callable, job, write_fd: int, inherited: list[int]) -> NoReturn:
+    """The forked child of ``fan_out``: close the pipe ends it inherited,
+    run ``work(job)``, write the pickled ``(result, error)`` pair to
+    ``write_fd`` and exit, with code 0 only once the pair is written."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            reply = (work(job), None)
+        except BaseException as exc:  # the parent raises it
+            reply = (None, exc)
+        payload = memoryview(pickle.dumps(reply))
+        while payload:
+            payload = payload[os.write(write_fd, payload) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def decode_all(
     model: PredictorModel, observations: np.ndarray, sched: ScheduleConfig, freq: FrequencyTable | None,
     corrector: CorrectorModel | None, theta: float, rounds: int, refill: ScheduleConfig | None,
     temperature: float, rngs: Iterable[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_decode_rows`` over the rows of the (N, T) ``observations``, with
+    one generator per row from ``rngs``, spread over the CPUs of the
+    process's affinity mask.
+
+    The rows are split into k = min(CPUs, N) contiguous shards (at least
+    one); ``fan_out`` decodes the first here and each other in a forked
+    child, and the parts are joined in row order. Rows are independent, so
+    the result does not depend on k. The generators of rows decoded in a
+    child are not advanced in this process.
+    """
+    rngs = list(rngs)
+    n = observations.shape[0]
+    if len(rngs) != n:
+        raise ValueError(f"{len(rngs)} generators for {n} rows")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = max(1, min(cpus, n))
+    bounds = [n * i // k for i in range(k + 1)]
+    parts = fan_out(
+        lambda rows: _decode_rows(
+            model, observations[rows], sched, freq, corrector, theta, rounds, refill, temperature, rngs[rows]
+        ),
+        [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+    )
+    return np.concatenate([decoded for decoded, _ in parts]), np.concatenate([traces for _, traces in parts])
+
+
+def _decode_rows(
+    model: PredictorModel, observations: np.ndarray, sched: ScheduleConfig, freq: FrequencyTable | None,
+    corrector: CorrectorModel | None, theta: float, rounds: int, refill: ScheduleConfig | None,
+    temperature: float, rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one per-sequence inference loop over the rows of the (N, T)
     ``observations``, with one generator per row from ``rngs``.

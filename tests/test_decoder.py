@@ -525,9 +525,10 @@ def _functions_using(name):
 FORWARD_USERS = {("decoder", "decode"), ("predictor", "example_loss"), ("predictor", "_train_batch")}
 
 # The functions allowed to call ``decode``: the one per-sequence inference
-# loop, which ``evaluate`` and ``maskgen decode`` share, and the corrector's
-# refill. A second copy of the loop would show up here.
-DECODE_USERS = {("harness", "decode_all"), ("corrector", "correct")}
+# loop, which ``decode_all`` runs on every shard of rows for ``evaluate`` and
+# ``maskgen decode``, and the corrector's refill. A second copy of the loop
+# would show up here.
+DECODE_USERS = {("harness", "_decode_rows"), ("corrector", "correct")}
 
 
 def test_only_decode_and_training_call_forward():
@@ -536,3 +537,8 @@ def test_only_decode_and_training_call_forward():
 
 def test_only_the_inference_loop_and_correct_call_decode():
     assert _functions_using("decode") == DECODE_USERS
+
+
+def test_only_the_fan_out_forks():
+    # decode_all's shards; a second route to worker processes would show up here
+    assert _functions_using("fork") == {("harness", "fan_out")}

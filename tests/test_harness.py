@@ -1,6 +1,8 @@
 """Config parsing, metrics, experiment pipelines, CSV artifacts, CLI."""
 
 import os
+import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +16,14 @@ import maskgen
 from maskgen.cli import main as cli_main
 from maskgen.corpus import document_frequency, generate_corpus, load_corpus, save_corpus, save_frequency_csv
 from maskgen.corrector import init_corrector, save_corrector
-from maskgen.errors import ConfigError
+from maskgen.errors import ConfigError, NumericsError
 from maskgen.harness import (
     ExperimentConfig,
     ablate_steps,
     build_pipeline,
     compare_masking_modes,
     config_hash,
+    decode_all,
     derive_seeds,
     edit_distance,
     evaluate,
@@ -31,6 +34,7 @@ from maskgen.harness import (
     serialize_config,
 )
 from maskgen.predictor import build_conditioning, forward, init_model, load_predictor, save_predictor
+from maskgen.schedule import MaskMode, ScheduleConfig
 from dataclasses import replace
 
 
@@ -493,13 +497,22 @@ DECODE_EXIT_CODES = {
     "input_trailing_lines": (["--input", "{d}/obs_trailing.txt"], 2),
     "negative_rounds": (["--corrector", "{d}/corr.bin", "--rounds", "-1"], 2),
     "trace_under_a_file": (["--trace", "{d}/model.bin/trace.csv"], 2),
+    "out_under_a_file": (["--out", "{d}/model.bin/out.txt"], 2),
     "theta_above_one": (["--corrector", "{d}/corr.bin", "--theta", "1.5"], 2),
     "nan_model": (["--model", "{d}/nan.bin"], 3),
 }
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("did the work before the arguments were checked")
+
+
 @pytest.mark.parametrize("flags,code", list(DECODE_EXIT_CODES.values()), ids=list(DECODE_EXIT_CODES))
-def test_decode_exit_codes(decode_inputs, tmp_path, capsys, flags, code):
+def test_decode_exit_codes(decode_inputs, tmp_path, capsys, monkeypatch, flags, code):
+    import maskgen.harness as harness_mod
+
+    if code == 2:  # every rejection comes before decoding
+        monkeypatch.setattr(harness_mod, "decode_all", must_not_run)
     d = decode_inputs
     argv = {"--model": f"{d}/model.bin", "--input": f"{d}/obs.txt", "--n-steps": "4"}
     extra = []
@@ -569,19 +582,25 @@ PATH_EXIT_CODES = {
     "gen_corpus_out_under_a_file": [
         "gen-corpus", "--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--seed", "1", "--out", "{file}/x.txt",
     ],
+    "gen_corpus_freq_csv_under_a_file": [
+        "gen-corpus", "--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--seed", "1", "--out", "{dir}/x.txt",
+        "--freq-csv", "{file}/f.csv",
+    ],
+    "gen_corpus_out_is_a_directory": [
+        "gen-corpus", "--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--seed", "1", "--out", "{dir}",
+    ],
     "dump_schedule_out_under_a_file": ["dump-schedule", "--n-steps", "2", "--seq-len", "4", "--out", "{file}/s.csv"],
 }
 
 
 @pytest.mark.parametrize("argv", list(PATH_EXIT_CODES.values()), ids=list(PATH_EXIT_CODES))
 def test_unusable_path_exit_codes(tmp_path, capsys, monkeypatch, argv):
+    import maskgen.corpus as corpus_mod
     import maskgen.harness as harness_mod
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before its output paths were checked")
-
-    monkeypatch.setattr(harness_mod, "train", no_training)
-    monkeypatch.setattr(harness_mod, "train_corrector", no_training)
+    for module, name in ((harness_mod, "train"), (harness_mod, "train_corrector"), (harness_mod, "generate_corpus"),
+                         (corpus_mod, "generate_corpus")):
+        monkeypatch.setattr(module, name, must_not_run)
     (tmp_path / "file").write_text("not a directory\n")
     (tmp_path / "dir").mkdir()
     argv = [a.format(file=tmp_path / "file", dir=tmp_path / "dir") for a in argv]
@@ -590,3 +609,132 @@ def test_unusable_path_exit_codes(tmp_path, capsys, monkeypatch, argv):
     assert len(err) == 1 and err[0].startswith("config error: "), err
     assert str(tmp_path) in err[0]  # names the path
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "file"]
+
+
+class TestFanOut:
+    """``decode_all`` spreads its rows over the CPUs of the affinity mask,
+    one forked process per shard; the output must not depend on how many."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, not hang, when a wait on a child never returns."""
+
+        def expire(signum, frame):
+            raise TimeoutError("decode_all did not return within 60 s")
+
+        before = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+
+    @staticmethod
+    def cpus(monkeypatch, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        rng = np.random.default_rng(7)
+        obs = generate_corpus(16, 5, 20, 1.2, 1, seed=2)
+        return (init_model(16, 4, 1, rng), init_corrector(16, 4, 1, rng), obs.tokens, document_frequency(obs))
+
+    @staticmethod
+    def decode(inputs, n, temperature=0.0, use_corrector=False):
+        model, corrector, tokens, freq = inputs
+        sched = ScheduleConfig(n_steps=4, mode=MaskMode.CTF)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(n)]
+        return decode_all(
+            model, tokens[:n], sched, freq, corrector if use_corrector else None, 0.5, 2,
+            refill=sched, temperature=temperature, rngs=rngs,
+        )
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8], ids=["greedy", "sampled"])
+    @pytest.mark.parametrize("use_corrector", [False, True], ids=["plain", "corrector_full_refill"])
+    def test_bytes_do_not_depend_on_the_cpu_count(self, inputs, monkeypatch, temperature, use_corrector):
+        for n in (0, 1, 2, 5):
+            self.cpus(monkeypatch, 1)
+            decoded, traces = self.decode(inputs, n, temperature, use_corrector)
+            assert decoded.shape == (n, 20) and traces.shape == (n, 4, 2)
+            for k in (2, 3):
+                self.cpus(monkeypatch, k)
+                other = self.decode(inputs, n, temperature, use_corrector)
+                for mine, theirs in zip((decoded, traces), other):
+                    assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, (n, k)
+                    assert mine.tobytes() == theirs.tobytes(), (n, k)
+
+    @staticmethod
+    def fail_in(monkeypatch, where, fail):
+        """Make ``decode`` call ``fail()`` in the parent or in the children."""
+        import maskgen.harness as harness_mod
+
+        parent, real = os.getpid(), harness_mod.decode
+
+        def decode(*args, **kwargs):
+            if (os.getpid() == parent) == (where == "parent"):
+                fail()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "decode", decode)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def numerics_error():
+        raise NumericsError("non-finite logits in shard")
+
+    def test_a_child_error_reaches_the_parent(self, inputs, monkeypatch):
+        self.cpus(monkeypatch, 3)
+        self.fail_in(monkeypatch, "children", self.numerics_error)
+        with pytest.raises(NumericsError, match="^non-finite logits in shard$"):
+            self.decode(inputs, 5)
+        self.assert_no_child_left()
+
+    def test_a_child_error_exits_3_from_the_cli(self, decode_inputs, tmp_path, capsys, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        self.fail_in(monkeypatch, "children", self.numerics_error)
+        d = decode_inputs
+        argv = ["decode", "--model", f"{d}/model.bin", "--input", f"{d}/obs.txt", "--out", str(tmp_path / "out.txt")]
+        assert cli_main(argv) == 3
+        assert capsys.readouterr().err.strip().splitlines() == ["numeric failure: non-finite logits in shard"]
+        self.assert_no_child_left()
+
+    def test_no_child_is_left_when_the_parent_shard_raises(self, inputs, monkeypatch):
+        self.cpus(monkeypatch, 3)
+        self.fail_in(monkeypatch, "parent", self.numerics_error)
+        with pytest.raises(NumericsError):
+            self.decode(inputs, 5, temperature=0.8, use_corrector=True)
+        self.assert_no_child_left()
+
+    def test_a_child_that_dies_without_a_result_raises(self, inputs, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        self.fail_in(monkeypatch, "children", lambda: os._exit(7))
+        with pytest.raises(ChildProcessError, match="exit code 7"):
+            self.decode(inputs, 5)
+        self.assert_no_child_left()
+
+    def test_cli_bytes_pinned_to_one_cpu_equal_unpinned(self, decode_inputs, tmp_path):
+        d = decode_inputs
+        src = Path(maskgen.__file__).resolve().parents[1]
+        one_cpu = min(os.sched_getaffinity(0))
+        for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {one_cpu})), ("unpinned", None)):
+            subprocess.run(
+                [sys.executable, "-m", "maskgen.cli", "decode", "--model", f"{d}/model.bin", "--input", f"{d}/obs.txt",
+                 "--n-steps", "4", "--mask-mode", "ctf", "--freq-csv", f"{d}/freq.csv", "--corrector", f"{d}/corr.bin",
+                 "--refill", "full", "--temperature", "0.8", "--seed", "3",
+                 "--out", str(tmp_path / f"{name}.txt"), "--trace", str(tmp_path / f"{name}_trace.csv")],
+                env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=pin, check=True, capture_output=True, timeout=120,
+            )
+        for suffix in (".txt", "_trace.csv"):
+            assert (tmp_path / f"pinned{suffix}").read_bytes() == (tmp_path / f"unpinned{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("error", [ConfigError("seeds", "must not repeat an entry"), NumericsError("loss is nan")])
+def test_errors_survive_pickling(error):
+    # a decoding shard's error crosses a process boundary
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+    if isinstance(error, ConfigError):
+        assert back.field == "seeds"
