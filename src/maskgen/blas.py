@@ -1,4 +1,5 @@
-"""A scoped OpenBLAS thread count for training.
+"""The native-library settings training runs under: a scoped OpenBLAS
+thread count and a process-wide glibc heap setting.
 
 Training multiplies many small matrices, one (T, F) @ (F, V) product per
 sequence ((96, 96) @ (96, 64) at the default sizes). A second OpenBLAS
@@ -12,6 +13,15 @@ when it loads, and numpy has loaded it before any maskgen code runs. So the
 scope leaves the count alone when the user set one of those variables, and
 it does nothing when no OpenBLAS is loaded. The library is looked up on the
 first use, not at import.
+
+Each training minibatch frees arrays of a few hundred kB. By default glibc
+trims the freed top of its heap, and the next minibatch faults the same
+pages back in. ``keep_freed_heap`` raises glibc's mmap and trim thresholds
+so that freed memory stays mapped for reuse. The setting lasts for the rest
+of the process: glibc offers no way to read the old values back, and
+setting a threshold ends its dynamic adjustment for good. It is skipped
+when the user set a threshold through the environment and under a C
+library without ``mallopt``. No result depends on it.
 """
 
 from __future__ import annotations
@@ -23,6 +33,10 @@ import os
 
 # variables OpenBLAS reads for its thread count when it loads
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# variables and the tunable prefix through which glibc's heap thresholds are set
+HEAP_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+HEAP_TUNABLES = "glibc.malloc."
 
 # (get, set) symbol pairs of the builds numpy ships with or links against
 _SYMBOLS = (
@@ -70,3 +84,23 @@ def one_blas_thread():
         yield
     finally:
         set_(before)
+
+
+def _mallopt():
+    """The C library's ``mallopt``, or None when it has none."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def keep_freed_heap() -> None:
+    """Keep freed heap memory mapped for the rest of the process, unless the
+    user chose heap thresholds through the environment."""
+    if any(os.environ.get(name) for name in HEAP_VARIABLES) or HEAP_TUNABLES in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap, not mmap, below 32 MiB
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: trim only a free top above 64 MiB

@@ -22,7 +22,6 @@ from .corpus import Corpus, substitute
 from .decoder import decode
 from .errors import NumericsError
 from .predictor import (
-    CHECKPOINT_VERSION,
     ConditioningContext,
     PredictorModel,
     read_checkpoint,
@@ -225,8 +224,8 @@ def correct(
 
 
 def save_corrector(model: CorrectorModel, path) -> None:
-    header = (CHECKPOINT_VERSION, model.vocab_size, model.dim, model.radius)
-    write_checkpoint(path, CORRECTOR_MAGIC, header, [model.embedding, model.w, np.array([model.b])])
+    vdr = (model.vocab_size, model.dim, model.radius)
+    write_checkpoint(path, CORRECTOR_MAGIC, vdr, [model.embedding, model.w, np.array([model.b])])
 
 
 def load_corrector(path) -> CorrectorModel:

@@ -203,12 +203,12 @@ class RunDir:
         write_csv(os.path.join(self.path, name), header, rows, [self.stamp])
 
 
-def start_run(cfg: ExperimentConfig, out_dir: str | None = None, files: Iterable[str] = ()) -> RunDir:
-    """The prologue of every run: validate ``cfg``, create the output
-    directory (``out_dir``, else ``cfg.output_dir``) and that of each
-    further output file in ``files``, before any training, and hash ``cfg``."""
+def start_run(cfg: ExperimentConfig, files: Iterable[str] = ()) -> RunDir:
+    """The prologue of every run: validate ``cfg``, create its output
+    directory and that of each further output file in ``files``, before any
+    training, and hash ``cfg``."""
     validate_config(cfg)
-    run = RunDir(out_dir if out_dir is not None else cfg.output_dir, f"config_hash={config_hash(cfg)}")
+    run = RunDir(cfg.output_dir, f"config_hash={config_hash(cfg)}")
     for directory in (run.path, *(os.path.dirname(f) for f in files)):
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -512,9 +512,9 @@ def fit_corrector(cfg: ExperimentConfig, train_corpus: Corpus) -> tuple[Correcto
     )
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> MetricsReport:
+def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """End-to-end run with all CSV artifacts written to the output directory."""
-    run = start_run(cfg, out_dir)
+    run = start_run(cfg)
     pipe = build_pipeline(cfg)
     report = evaluate(pipe.model, pipe.test_corpus, pipe.freq, pipe.sched, cfg, pipe.eval_seed, pipe.corrector)
 
@@ -534,12 +534,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Metrics
     return report
 
 
-def ablate_steps(cfg: ExperimentConfig, out_dir: str | None = None) -> list[tuple[int, float, float]]:
+def ablate_steps(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
     """One decode evaluation per step count of ``cfg.ablate_steps``, sharing
     the trained model and all seeds. Emits ``n_steps,accuracy,edit_distance``."""
     if not cfg.ablate_steps or min(cfg.ablate_steps) < 1 or max(cfg.ablate_steps) > cfg.seq_len:
         raise ConfigError("ablate_steps", f"need step counts in [1, seq_len {cfg.seq_len}], got {cfg.ablate_steps}")
-    run = start_run(cfg, out_dir)
+    run = start_run(cfg)
 
     pipe = build_pipeline(cfg)
     rows = []
@@ -551,13 +551,13 @@ def ablate_steps(cfg: ExperimentConfig, out_dir: str | None = None) -> list[tupl
     return rows
 
 
-def compare_masking_modes(cfg: ExperimentConfig, out_dir: str | None = None) -> dict[tuple[int, str, bool], MetricsReport]:
+def compare_masking_modes(cfg: ExperimentConfig) -> dict[tuple[int, str, bool], MetricsReport]:
     """Four cells (uniform/ctf x corrector off/on) per seed, with shared
     corpora and seeds across cells. Returns reports keyed by
     (seed, mode, corrector_on) and writes summary plus per-decile CSVs."""
     if not cfg.seeds:
         raise ConfigError("seeds", "need at least one seed for paired comparisons")
-    run = start_run(cfg, out_dir)
+    run = start_run(cfg)
 
     results: dict[tuple[int, str, bool], MetricsReport] = {}
     summary_rows = []

@@ -28,13 +28,8 @@ matrix product to a vector product. Every sum that runs across examples
 (loss, output-weight, bias and embedding gradients) is taken per example
 and added in example order, the order the per-example loop used.
 
-Training also reuses its memory: the (B, T, .) arrays of a minibatch live in
-a ``_Workspace`` that ``train`` allocates once and hands to
-``build_conditioning``, ``forward`` and ``masked_ce_loss``, which write into
-it. Fresh arrays per minibatch would be handed back to glibc at the end of
-each one; glibc trims the freed top of its heap, and the next minibatch
-faults the same pages in again (about 280 minor page faults per minibatch
-at the default sizes). Training runs on one OpenBLAS thread (see ``blas``).
+Training runs on one OpenBLAS thread and keeps the heap pages that each
+minibatch frees for the next one (see ``blas``).
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import keep_freed_heap, one_blas_thread
 from .corpus import Corpus, FrequencyTable, corrupt_sequence, sequence_base_probabilities
 from .errors import NumericsError
 from .schedule import (
@@ -103,26 +98,6 @@ class ConditioningContext:
         return self.cond.shape[-2]
 
 
-class _Workspace:
-    """Named buffers for the arrays of a minibatch, allocated zeroed on
-    first use, sized by the first (largest) minibatch and reused by every
-    later one. A shorter last batch gets leading-axis views."""
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in self._buffers:
-            self._buffers[name] = np.zeros(shape)
-        return self._buffers[name][: shape[0]]
-
-
-def _buffer(ws: _Workspace | None, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Buffer ``name`` of the workspace; None without a workspace, so that
-    numpy allocates the result."""
-    return None if ws is None else ws.get(name, shape)
-
-
 @dataclass
 class PredictionOutput:
     probs: np.ndarray  # ([B,] T, V), rows sum to 1
@@ -135,7 +110,6 @@ class _ForwardCache:
     masked: np.ndarray  # ([B,] T) input ids, mask token allowed
     features: np.ndarray  # ([B,] T, F)
     ctx: ConditioningContext
-    workspace: _Workspace | None
 
 
 @dataclass
@@ -177,33 +151,26 @@ def init_model(vocab_size: int, dim: int, radius: int, rng: np.random.Generator)
     )
 
 
-def build_conditioning(
-    distorted: np.ndarray, model: PredictorModel, workspace: _Workspace | None = None
-) -> ConditioningContext:
+def build_conditioning(distorted: np.ndarray, model: PredictorModel) -> ConditioningContext:
     """Embed the distorted observation, (T,) ids or a (B, T) batch; the
     global vector of each sequence is its mean embedding."""
     distorted = np.asarray(distorted, dtype=np.int64)
     if distorted.min(initial=0) < 0 or distorted.max(initial=0) >= model.vocab_size:
         raise ValueError("distorted token id outside [0, vocab_size)")
     # the ids are checked, so "clip" clips nothing; "raise" would copy through a temporary
-    cond = model.embedding.take(distorted, axis=0, mode="clip",
-                                out=_buffer(workspace, "cond", distorted.shape + (model.dim,)))
+    cond = model.embedding.take(distorted, axis=0, mode="clip")
     return ConditioningContext(cond=cond, global_embed=cond.mean(axis=-2), source_tokens=distorted)
 
 
-def window(u: np.ndarray, r: int, ws: _Workspace | None = None) -> np.ndarray:
+def window(u: np.ndarray, r: int) -> np.ndarray:
     """([B,] T, D*(2r+1)) windowed concatenation of the ([B,] T, D) rows of
     ``u``: block c of row t is row t + c - r of the same sequence, zero
     outside it. The predictor and the corrector build their features with
-    it. With a workspace the padded copy and the result are its buffers
-    "padded" and "feats"."""
+    it."""
     t, d = u.shape[-2:]
-    # a workspace buffer starts zeroed and only its middle rows are written
-    shape = u.shape[:-2] + (t + 2 * r, d)
-    padded = np.zeros(shape) if ws is None else ws.get("padded", shape)
+    padded = np.zeros(u.shape[:-2] + (t + 2 * r, d))
     padded[..., r : r + t, :] = u
-    out = _buffer(ws, "feats", u.shape[:-1] + (d * (2 * r + 1),))
-    return np.concatenate([padded[..., c : c + t, :] for c in range(2 * r + 1)], axis=-1, out=out)
+    return np.concatenate([padded[..., c : c + t, :] for c in range(2 * r + 1)], axis=-1)
 
 
 def window_adjoint(dfeats: np.ndarray, r: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -222,15 +189,13 @@ def window_adjoint(dfeats: np.ndarray, r: int, d: int, out: np.ndarray | None = 
     return du
 
 
-def _window_features(
-    model: PredictorModel, inputs: np.ndarray, ctx: ConditioningContext, ws: _Workspace | None
-) -> np.ndarray:
+def _window_features(model: PredictorModel, inputs: np.ndarray, ctx: ConditioningContext) -> np.ndarray:
     """([B,] T, F) features: windowed concatenation of per-position vectors
     with the global vector added to the center block."""
     r, d = model.radius, model.dim
-    u = model.embedding.take(inputs, axis=0, mode="clip", out=_buffer(ws, "u", inputs.shape + (d,)))
+    u = model.embedding.take(inputs, axis=0, mode="clip")
     u += ctx.cond
-    feats = window(u, r, ws)
+    feats = window(u, r)
     feats[..., r * d : (r + 1) * d] += ctx.global_embed[..., None, :]
     return feats
 
@@ -240,7 +205,6 @@ def forward(
     masked: np.ndarray,
     ctx: ConditioningContext,
     positions: np.ndarray | None = None,
-    workspace: _Workspace | None = None,
 ) -> PredictionOutput:
     """Per-position probability vectors over the vocabulary: (T, V) for
     (T,) input ids, (B, T, V) for a (B, T) batch.
@@ -250,27 +214,23 @@ def forward(
     and equals the matching rows of the full output bit for bit. The logits
     are still computed for the whole sequence, because a matrix product over
     fewer rows may round differently.
-
-    With a ``workspace`` (and no ``positions``) every array of the pass,
-    ``probs`` included, is one of its buffers and is overwritten by the next
-    pass that uses it.
     """
     masked = np.asarray(masked, dtype=np.int64)
     if masked.shape != ctx.source_tokens.shape:
         raise ValueError(f"input shape {masked.shape} != conditioning shape {ctx.source_tokens.shape}")
     if masked.min(initial=0) < 0 or masked.max(initial=0) > model.vocab_size:
         raise ValueError("input token id outside [0, vocab_size] (mask token is vocab_size)")
-    feats = _window_features(model, masked, ctx, workspace)
+    feats = _window_features(model, masked, ctx)
     # per sequence, the product a single pass makes
-    logits = np.matmul(feats, model.out_w, out=_buffer(workspace, "logits", masked.shape + (model.vocab_size,)))
+    logits = np.matmul(feats, model.out_w)
     logits += model.out_b
     if positions is not None:
         logits = logits[..., positions, :]
     # log-softmax, then exp, in the logits' buffer
     logits -= logits.max(axis=-1, keepdims=True)
-    logits -= np.log(np.exp(logits, out=_buffer(workspace, "exp", logits.shape)).sum(axis=-1, keepdims=True))
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
     probs = np.exp(logits, out=logits)
-    cache = _ForwardCache(model=model, masked=masked, features=feats, ctx=ctx, workspace=workspace)
+    cache = _ForwardCache(model=model, masked=masked, features=feats, ctx=ctx)
     return PredictionOutput(probs=probs, _cache=cache)
 
 
@@ -288,8 +248,7 @@ def masked_ce_loss(
 
     The prediction is spent: the gradient wrt the logits (``grads.logits``)
     is written over ``pred.probs`` and the gradient wrt the features over its
-    cached features. Read ``pred.probs`` before the call. The gradient rows
-    go into the forward pass's workspace, if it had one.
+    cached features. Read ``pred.probs`` before the call.
     """
     target = np.asarray(target, dtype=np.int64)
     mask = np.asarray(mask)
@@ -325,8 +284,7 @@ def masked_ce_loss(
 
     dfeats = np.matmul(dlogits, model.out_w.T, out=feats)  # the features are spent
     # example b's input-route rows, then its conditioning-route rows
-    shape = (nb, 2, t, d)
-    rows = np.empty(shape) if cache.workspace is None else cache.workspace.get("rows", shape)
+    rows = np.empty((nb, 2, t, d))
     du = window_adjoint(dfeats, r, d, out=rows[:, 0])
     # the center block also feeds the global vector, the mean of the cond rows
     np.add(du, dfeats[..., r * d : (r + 1) * d].sum(axis=-2, keepdims=True) / t, out=rows[:, 1])
@@ -377,15 +335,13 @@ def _train_batch(
     idx: np.ndarray,
     rng: np.random.Generator,
     epoch: int,
-    ws: _Workspace,
 ) -> tuple[list[float], int, int]:
     """One SGD step on the documents ``idx``. Returns the per-example losses,
     the masked count and the count of masked positions predicted right.
 
     The random draws run per example, in the order of the per-example loop:
     corrupt, schedule step, masking probabilities, mask. The forward and
-    backward passes then run once over the whole batch, in the buffers of
-    ``ws``.
+    backward passes then run once over the whole batch.
     """
     v, t = corpus.vocab_size, corpus.seq_len
     clean = corpus.tokens[idx]
@@ -402,8 +358,8 @@ def _train_batch(
             probs = np.full(t, cosine_probability(step, sched.n_steps))
         m[b] = sample_mask(probs, rng)
         steps.append(step)
-    ctx = build_conditioning(distorted, model, workspace=ws)
-    pred = forward(model, apply_mask(clean, m, model.mask_token_id), ctx, workspace=ws)
+    ctx = build_conditioning(distorted, model)
+    pred = forward(model, apply_mask(clean, m, model.mask_token_id), ctx)
     n_correct = int(((pred.probs.argmax(axis=-1) == clean) & (m == 1)).sum())
     losses, grads = masked_ce_loss(pred, clean, m)
     losses = losses.tolist()
@@ -433,15 +389,15 @@ def train(
     coarse-to-fine), sample and apply the mask, accumulate gradients. The
     update divides the summed gradient by the batch's masked-token count.
     Each minibatch runs as one batched pass (see ``_train_batch``), bit for
-    bit the same as accumulating example by example, in one workspace for
-    the whole call. Deterministic for a fixed seed; runs on one OpenBLAS
-    thread (see ``blas``).
+    bit the same as accumulating example by example. Deterministic for a
+    fixed seed; runs on one OpenBLAS thread and sets the process's heap to
+    keep freed pages (see ``blas``).
     """
+    keep_freed_heap()
     rng = np.random.default_rng(hyper.seed)
     model = init_model(corpus.vocab_size, hyper.dim, hyper.radius, rng)
     n = corpus.num_docs
     history: list[EpochStats] = []
-    ws = _Workspace()
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
@@ -450,7 +406,7 @@ def train(
         epoch_correct = 0
         for start in range(0, n, hyper.batch):
             losses, n_masked, n_correct = _train_batch(
-                model, corpus, freq, sched, hyper, order[start : start + hyper.batch], rng, epoch, ws
+                model, corpus, freq, sched, hyper, order[start : start + hyper.batch], rng, epoch
             )
             for loss in losses:  # example order, as the per-example loop added them
                 epoch_loss += loss
@@ -469,10 +425,11 @@ def train(
 # the last block.
 
 
-def write_checkpoint(path, magic: bytes, header: tuple[int, int, int, int], blocks: list[np.ndarray]) -> None:
+def write_checkpoint(path, magic: bytes, vdr: tuple[int, int, int], blocks: list[np.ndarray]) -> None:
+    """Write ``magic``, the format version, ``vdr`` = (V, D, r) and the blocks."""
     with open(path, "wb") as fh:
         fh.write(magic)
-        fh.write(struct.pack("<4I", *header))
+        fh.write(struct.pack("<4I", CHECKPOINT_VERSION, *vdr))
         for block in blocks:
             fh.write(np.asarray(block).astype("<f8").tobytes())
 
@@ -505,8 +462,8 @@ def read_checkpoint(path, magic: bytes, kind: str, shapes) -> tuple[int, list[np
 
 
 def save_predictor(model: PredictorModel, path) -> None:
-    header = (CHECKPOINT_VERSION, model.vocab_size, model.dim, model.radius)
-    write_checkpoint(path, CHECKPOINT_MAGIC, header, [model.embedding, model.out_w, model.out_b])
+    vdr = (model.vocab_size, model.dim, model.radius)
+    write_checkpoint(path, CHECKPOINT_MAGIC, vdr, [model.embedding, model.out_w, model.out_b])
 
 
 def load_predictor(path) -> PredictorModel:

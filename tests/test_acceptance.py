@@ -261,11 +261,11 @@ def test_c10_pipeline_determinism(tmp_path):
             embed_dim=8, radius=1, lr=1.0, epochs=2, batch=8, rho=0.3,
             use_corrector=True, corrector_dim=6, corrector_epochs=2, seeds=(5,),
         )
-        run_experiment(cfg, out_dir=str(tmp_path / "a"))
-        run_experiment(cfg, out_dir=str(tmp_path / "b"))
+        run_experiment(replace(cfg, output_dir=str(tmp_path / "a")))
+        run_experiment(replace(cfg, output_dir=str(tmp_path / "b")))
         for name in ("metrics.csv", "deciles.csv", "decode_trace.csv", "learning_curve.csv", "frequency.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
-        compare_masking_modes(cfg, out_dir=str(tmp_path / "c1"))
-        compare_masking_modes(cfg, out_dir=str(tmp_path / "c2"))
+        compare_masking_modes(replace(cfg, output_dir=str(tmp_path / "c1")))
+        compare_masking_modes(replace(cfg, output_dir=str(tmp_path / "c2")))
         for name in ("compare_modes.csv", "compare_modes_deciles.csv"):
             assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes(), name

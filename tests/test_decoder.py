@@ -542,3 +542,16 @@ def test_only_the_inference_loop_and_correct_call_decode():
 def test_only_the_fan_out_forks():
     # decode_all's shards; a second route to worker processes would show up here
     assert _functions_using("fork") == {("harness", "fan_out")}
+
+
+def test_only_blas_imports_ctypes():
+    # native calls (the OpenBLAS thread count, glibc's heap) stay in one module
+    src = Path(__file__).resolve().parents[1] / "src" / "maskgen"
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "ctypes" for a in node.names) or (
+                isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "ctypes"
+            ):
+                importers.add(path.stem)
+    assert importers == {"blas"}

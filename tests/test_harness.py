@@ -189,7 +189,7 @@ class TestFrequencyDeciles:
 class TestRunExperiment:
     def test_artifacts_and_format(self, tmp_path):
         cfg = tiny_config(use_corrector=True)
-        report = run_experiment(cfg, out_dir=str(tmp_path))
+        report = run_experiment(replace(cfg, output_dir=str(tmp_path)))
         for name in ("metrics.csv", "deciles.csv", "decode_trace.csv", "learning_curve.csv", "frequency.csv"):
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0].startswith("# config_hash="), name
@@ -199,8 +199,8 @@ class TestRunExperiment:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_config(use_corrector=True)
-        run_experiment(cfg, out_dir=str(tmp_path / "a"))
-        run_experiment(cfg, out_dir=str(tmp_path / "b"))
+        run_experiment(replace(cfg, output_dir=str(tmp_path / "a")))
+        run_experiment(replace(cfg, output_dir=str(tmp_path / "b")))
         for name in ("metrics.csv", "deciles.csv", "decode_trace.csv", "learning_curve.csv", "frequency.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
@@ -224,7 +224,7 @@ class TestRunExperiment:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_decile_accuracies_aggregate_to_overall(self, tmp_path):
-        report = run_experiment(tiny_config(), out_dir=str(tmp_path))
+        report = run_experiment(tiny_config(output_dir=str(tmp_path)))
         weighted = sum(
             acc * n for acc, n in zip(report.decile_accuracy, report.decile_counts) if n > 0
         )
@@ -232,7 +232,7 @@ class TestRunExperiment:
 
     def test_single_step_no_noise_equals_single_shot_argmax(self, tmp_path):
         cfg = tiny_config(n_steps=1, rho=0.0)
-        report = run_experiment(cfg, out_dir=str(tmp_path))
+        report = run_experiment(replace(cfg, output_dir=str(tmp_path)))
         pipe = build_pipeline(cfg)
         hits = total = 0
         for clean in pipe.test_corpus.tokens:
@@ -246,19 +246,19 @@ class TestRunExperiment:
 class TestAblateSteps:
     def test_rows_and_csv(self, tmp_path):
         cfg = tiny_config()
-        rows = ablate_steps(replace(cfg, ablate_steps=(1, 2, 4)), out_dir=str(tmp_path))
+        rows = ablate_steps(replace(cfg, ablate_steps=(1, 2, 4), output_dir=str(tmp_path)))
         assert [r[0] for r in rows] == [1, 2, 4]
         lines = (tmp_path / "ablate_steps.csv").read_text().splitlines()
         assert lines[1] == "n_steps,accuracy,edit_distance"
         assert len(lines) == 2 + 3
 
     def test_single_step_list(self, tmp_path):
-        rows = ablate_steps(tiny_config(ablate_steps=(1,)), out_dir=str(tmp_path))
+        rows = ablate_steps(tiny_config(ablate_steps=(1,), output_dir=str(tmp_path)))
         assert len(rows) == 1
 
     def test_invalid_steps_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ablate_steps"):
-            ablate_steps(tiny_config(ablate_steps=(0, 4)), out_dir=str(tmp_path))
+            ablate_steps(tiny_config(ablate_steps=(0, 4), output_dir=str(tmp_path)))
 
 
 class TestCompareModes:
@@ -281,7 +281,7 @@ class TestCompareModes:
 
     def test_four_cells_per_seed(self, tmp_path):
         cfg = tiny_config(seeds=(5,))
-        results = compare_masking_modes(cfg, out_dir=str(tmp_path))
+        results = compare_masking_modes(replace(cfg, output_dir=str(tmp_path)))
         assert set(results) == {(5, "uniform", False), (5, "uniform", True), (5, "ctf", False), (5, "ctf", True)}
         lines = (tmp_path / "compare_modes.csv").read_text().splitlines()
         assert len(lines) == 2 + 4
@@ -305,7 +305,7 @@ class TestCompareModes:
         for name in calls:
             monkeypatch.setattr(harness_mod, name, counted(name))
         cfg = tiny_config(seeds=(5,))
-        results = compare_masking_modes(cfg, out_dir=str(tmp_path))
+        results = compare_masking_modes(replace(cfg, output_dir=str(tmp_path)))
         assert calls == {"generate_corpus": 1, "train_corrector": 1}
         # the shared set-up gives the cells a pipeline built per mode gives
         for mode in ("uniform", "ctf"):
@@ -317,7 +317,7 @@ class TestCompareModes:
 
     def test_identity_corrector_never_changes_metrics(self, tmp_path):
         # theta=1 flags nothing, so corrector-on cells equal corrector-off
-        results = compare_masking_modes(tiny_config(seeds=(5,), theta=1.0), out_dir=str(tmp_path))
+        results = compare_masking_modes(tiny_config(seeds=(5,), theta=1.0, output_dir=str(tmp_path)))
         for mode in ("uniform", "ctf"):
             off, on = results[(5, mode, False)], results[(5, mode, True)]
             assert on.overall_accuracy == off.overall_accuracy
