@@ -10,12 +10,15 @@ it validates the config, creates the output directories and stamps every
 CSV with a config-hash comment line for exact reproduction.
 
 ``decode_all`` runs the one per-sequence inference loop, ``_decode_rows``,
-for ``evaluate`` and ``maskgen decode``. Rows are independent, so it splits
-them into contiguous shards, one per CPU the process may run on (its
-``os.sched_getaffinity`` mask), and decodes every shard but the first in a
-child forked by ``fan_out``. The output is byte-identical for every number
-of shards; ``taskset -c 0`` gives a one-process run. Forked children's CPU
-time and memory do not show in the parent's ``getrusage(RUSAGE_SELF)``.
+for ``evaluate`` and ``maskgen decode``. ``train_cells`` runs independent
+trainings: the two predictors and the corrector of every seed of
+``compare_masking_modes``. Both split their work into ``cpu_shards``,
+contiguous shards, one per CPU the process may run on (its
+``os.sched_getaffinity`` mask), and run every shard but the first in a
+child forked by ``fan_out``.
+The output is byte-identical for every number of shards; ``taskset -c 0``
+gives a one-process run. Forked children's CPU time and memory do not show
+in the parent's ``getrusage(RUSAGE_SELF)``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import hashlib
 import math
 import os
 import pickle
+import threading
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -270,11 +275,29 @@ def edit_distance(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
     return int(prev[0, -1]) if a.ndim == 1 else prev[:, -1]
 
 
+def cpu_shards(n: int) -> list[slice]:
+    """k = min(CPUs of the process's affinity mask, n) contiguous slices, at
+    least one, that cover ``range(n)`` in order."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = max(1, min(cpus, n))
+    bounds = [n * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+# set while this process runs the jobs of a fan_out; a forked child inherits it
+_fanning_out = False
+
+
 def fan_out(work: Callable, jobs: Sequence) -> list:
     """``[work(job) for job in jobs]`` for at least one job, with every job
     after the first run in a child forked for it; this process runs the
     first. Every process runs on one OpenBLAS thread (see ``blas``), so k
     processes never run more than k threads.
+
+    A fork copies only the calling thread, so while another Python thread
+    runs, every job runs here. So does every job of a fan_out nested in a
+    job of another, so k jobs never become k² processes. The results are
+    the same either way.
 
     A child sends back its pickled result, or the exception it raised,
     through a pipe, and always leaves through ``os._exit``: it never runs
@@ -283,9 +306,13 @@ def fan_out(work: Callable, jobs: Sequence) -> list:
     job order is raised. A child that ends without a result raises
     ``ChildProcessError``.
     """
+    global _fanning_out
     children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
     payloads: list[bytes] = []
     with one_blas_thread():
+        if len(jobs) == 1 or _fanning_out or threading.active_count() > 1:
+            return [work(job) for job in jobs]
+        _fanning_out = True
         try:
             for job in jobs[1:]:
                 read_fd, write_fd = os.pipe()
@@ -305,6 +332,7 @@ def fan_out(work: Callable, jobs: Sequence) -> list:
                 with open(fd, "rb", closefd=False) as pipe:
                     payloads.append(pipe.read())
         finally:
+            _fanning_out = False
             for _, fd in children:
                 os.close(fd)
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
@@ -338,6 +366,15 @@ def _child(work: Callable, job, write_fd: int, inherited: list[int]) -> NoReturn
         os._exit(code)
 
 
+def train_cells(cells: Sequence[Callable[[], object]]) -> list:
+    """``[cell() for cell in cells]``, with the cells, independent trainings
+    taking no arguments, split into ``cpu_shards`` and the shards run
+    through ``fan_out``. A trained model is the same in every process, so
+    the results do not depend on the number of CPUs."""
+    shards = fan_out(lambda part: [cell() for cell in cells[part]], cpu_shards(len(cells)))
+    return [result for shard in shards for result in shard]
+
+
 def decode_all(
     model: PredictorModel, observations: np.ndarray, sched: ScheduleConfig, freq: FrequencyTable | None,
     corrector: CorrectorModel | None, theta: float, rounds: int, refill: ScheduleConfig | None,
@@ -347,24 +384,21 @@ def decode_all(
     one generator per row from ``rngs``, spread over the CPUs of the
     process's affinity mask.
 
-    The rows are split into k = min(CPUs, N) contiguous shards (at least
-    one); ``fan_out`` decodes the first here and each other in a forked
-    child, and the parts are joined in row order. Rows are independent, so
-    the result does not depend on k. The generators of rows decoded in a
-    child are not advanced in this process.
+    The rows are split into ``cpu_shards``; ``fan_out`` decodes the first
+    here and each other in a forked child, and the parts are joined in row
+    order. Rows are independent, so the result does not depend on the
+    number of shards. The generators of rows decoded in a child are not
+    advanced in this process.
     """
     rngs = list(rngs)
     n = observations.shape[0]
     if len(rngs) != n:
         raise ValueError(f"{len(rngs)} generators for {n} rows")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = max(1, min(cpus, n))
-    bounds = [n * i // k for i in range(k + 1)]
     parts = fan_out(
         lambda rows: _decode_rows(
             model, observations[rows], sched, freq, corrector, theta, rounds, refill, temperature, rngs[rows]
         ),
-        [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+        cpu_shards(n),
     )
     return np.concatenate([decoded for decoded, _ in parts]), np.concatenate([traces for _, traces in parts])
 
@@ -462,26 +496,30 @@ def derive_seeds(master: int) -> dict[str, int]:
 
 
 def build_pipeline(cfg: ExperimentConfig) -> TrainedPipeline:
-    """Generate corpora, fit the predictor (and corrector if enabled).
+    """Generate corpora, fit the predictor (and corrector if enabled)."""
+    train_corpus, test_corpus, freq = _corpora(cfg)
+    sched, model, history = _fit_predictor(cfg, train_corpus, freq)
+    corrector = fit_corrector(cfg, train_corpus)[0] if cfg.use_corrector else None
+    return TrainedPipeline(
+        train_corpus=train_corpus, test_corpus=test_corpus, freq=freq, sched=sched,
+        model=model, history=history, corrector=corrector, eval_seed=derive_seeds(cfg.seed)["eval"],
+    )
+
+
+def _corpora(cfg: ExperimentConfig) -> tuple[Corpus, Corpus, FrequencyTable]:
+    """The training corpus of ``cfg``, its held-out docs and the training
+    corpus's frequency table.
 
     The held-out docs are the tail of one generation whose head is the
     training corpus, so both share one transition structure. Generation is
     prefix-stable, so the head equals a generation of ``num_docs`` alone.
     """
-    seeds = derive_seeds(cfg.seed)
     docs = generate_corpus(
         cfg.vocab_size, cfg.num_docs + cfg.test_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order,
-        seeds["train_corpus"],
+        derive_seeds(cfg.seed)["train_corpus"],
     )
     train_corpus = replace(docs, tokens=docs.tokens[: cfg.num_docs])
-    test_corpus = replace(docs, tokens=docs.tokens[cfg.num_docs :])
-    freq = document_frequency(train_corpus)
-    sched, model, history = _fit_predictor(cfg, train_corpus, freq)
-    corrector = fit_corrector(cfg, train_corpus)[0] if cfg.use_corrector else None
-    return TrainedPipeline(
-        train_corpus=train_corpus, test_corpus=test_corpus, freq=freq, sched=sched,
-        model=model, history=history, corrector=corrector, eval_seed=seeds["eval"],
-    )
+    return train_corpus, replace(docs, tokens=docs.tokens[cfg.num_docs :]), document_frequency(train_corpus)
 
 
 def _fit_predictor(
@@ -559,23 +597,32 @@ def compare_masking_modes(cfg: ExperimentConfig) -> dict[tuple[int, str, bool], 
         raise ConfigError("seeds", "need at least one seed for paired comparisons")
     run = start_run(cfg)
 
+    # corpora, frequency table and corrector do not depend on the mode, and
+    # each stage draws from its own sub-seed: they are built once per seed,
+    # and only the predictor is trained per mode. Every training runs at
+    # once through train_cells; the CTF predictor, the longest, comes first,
+    # so on two CPUs it has one to itself.
+    setups = [(seed, *_corpora(replace(cfg, seed=seed))) for seed in cfg.seeds]
+    cells = []
+    for seed, train_corpus, _, freq in setups:
+        cells += [
+            partial(_fit_predictor, replace(cfg, seed=seed, mask_mode=mode), train_corpus, freq)
+            for mode in ("ctf", "uniform")
+        ]
+        cells.append(partial(fit_corrector, replace(cfg, seed=seed), train_corpus))
+    trained = train_cells(cells)
+
     results: dict[tuple[int, str, bool], MetricsReport] = {}
     summary_rows = []
     decile_rows = []
-    for seed in cfg.seeds:
-        # corpora, frequency table and corrector do not depend on the mode,
-        # and each stage draws from its own sub-seed: only the predictor is
-        # trained again for the second mode
-        pipe = build_pipeline(replace(cfg, seed=seed, mask_mode="uniform", use_corrector=True))
-        for mode in ("uniform", "ctf"):
+    for i, (seed, _, test_corpus, freq) in enumerate(setups):
+        ctf, uniform, (corrector, _) = trained[3 * i : 3 * i + 3]
+        for mode, (sched, model, _) in (("uniform", uniform), ("ctf", ctf)):
             cell_cfg = replace(cfg, seed=seed, mask_mode=mode)
-            if mode != "uniform":
-                sched, model, history = _fit_predictor(cell_cfg, pipe.train_corpus, pipe.freq)
-                pipe = replace(pipe, sched=sched, model=model, history=history)
             for use_corr in (False, True):
                 report = evaluate(
-                    pipe.model, pipe.test_corpus, pipe.freq, pipe.sched, cell_cfg,
-                    pipe.eval_seed, pipe.corrector if use_corr else None,
+                    model, test_corpus, freq, sched, cell_cfg, derive_seeds(seed)["eval"],
+                    corrector if use_corr else None,
                 )
                 results[(seed, mode, use_corr)] = report
                 cell = (seed, mode, int(use_corr))

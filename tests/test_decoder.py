@@ -540,7 +540,8 @@ def test_only_the_inference_loop_and_correct_call_decode():
 
 
 def test_only_the_fan_out_forks():
-    # decode_all's shards; a second route to worker processes would show up here
+    # the shards of decode_all and train_cells; a second route to worker
+    # processes would show up here
     assert _functions_using("fork") == {("harness", "fan_out")}
 
 

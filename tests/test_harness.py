@@ -5,6 +5,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,12 @@ from maskgen.harness import (
     build_pipeline,
     compare_masking_modes,
     config_hash,
+    cpu_shards,
     decode_all,
     derive_seeds,
     edit_distance,
     evaluate,
+    fan_out,
     frequency_deciles,
     load_config,
     parse_config,
@@ -291,22 +294,27 @@ class TestCompareModes:
     def test_setup_built_once_per_seed(self, tmp_path, monkeypatch):
         import maskgen.harness as harness_mod
 
-        calls = {"generate_corpus": 0, "train_corrector": 0}
+        # a training may run in a forked child, whose memory this process
+        # cannot read, so every call appends its name to a file
+        log = tmp_path / "calls.log"
+        names = ("generate_corpus", "train_corrector")
 
         def counted(name):
             real = getattr(harness_mod, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with open(log, "a") as fh:
+                    fh.write(f"{name}\n")
                 return real(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
+        for name in names:
             monkeypatch.setattr(harness_mod, name, counted(name))
         cfg = tiny_config(seeds=(5,))
-        results = compare_masking_modes(replace(cfg, output_dir=str(tmp_path)))
-        assert calls == {"generate_corpus": 1, "train_corrector": 1}
+        results = compare_masking_modes(replace(cfg, output_dir=str(tmp_path / "run")))
+        calls = log.read_text().split()
+        assert {name: calls.count(name) for name in names} == {"generate_corpus": 1, "train_corrector": 1}
         # the shared set-up gives the cells a pipeline built per mode gives
         for mode in ("uniform", "ctf"):
             cell_cfg = replace(cfg, seed=5, mask_mode=mode)
@@ -612,8 +620,9 @@ def test_unusable_path_exit_codes(tmp_path, capsys, monkeypatch, argv):
 
 
 class TestFanOut:
-    """``decode_all`` spreads its rows over the CPUs of the affinity mask,
-    one forked process per shard; the output must not depend on how many."""
+    """``decode_all`` spreads its rows, and ``train_cells`` its trainings,
+    over the CPUs of the affinity mask, one forked process per shard; the
+    output must not depend on how many."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -713,6 +722,99 @@ class TestFanOut:
         self.fail_in(monkeypatch, "children", lambda: os._exit(7))
         with pytest.raises(ChildProcessError, match="exit code 7"):
             self.decode(inputs, 5)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    def test_shards_cover_the_items_in_order(self, monkeypatch, n):
+        for k in (1, 2, 3):
+            self.cpus(monkeypatch, k)
+            shards = cpu_shards(n)
+            assert len(shards) == max(1, min(k, n))
+            assert [i for part in shards for i in range(n)[part]] == list(range(n))
+            assert max(len(range(n)[part]) for part in shards) - min(len(range(n)[part]) for part in shards) <= 1
+
+    def test_compare_modes_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        names = ("compare_modes.csv", "compare_modes_deciles.csv")
+        outputs = {}
+        for k in (1, 2, 3):
+            self.cpus(monkeypatch, k)
+            compare_masking_modes(tiny_config(seeds=(5, 6), output_dir=str(tmp_path / str(k))))
+            outputs[k] = [(tmp_path / str(k) / name).read_bytes() for name in names]
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+        self.assert_no_child_left()
+
+    def test_a_training_error_in_a_child_exits_3_from_compare_modes(self, tmp_path, capsys, monkeypatch):
+        import maskgen.harness as harness_mod
+
+        parent, real = os.getpid(), harness_mod.train
+
+        def train(*args, **kwargs):
+            if os.getpid() != parent:
+                raise NumericsError("loss is nan in a training child")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "train", train)
+        self.cpus(monkeypatch, 3)  # the CTF predictor here, the uniform one and the corrector in children
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(serialize_config(tiny_config(seeds=(5,))))
+        out = tmp_path / "run"
+        assert cli_main(["compare-modes", "--config", str(cfg_file), "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err.strip().splitlines() == ["numeric failure: loss is nan in a training child"]
+        assert not list(out.glob("*.csv"))
+        self.assert_no_child_left()
+
+    def test_every_fork_comes_from_a_single_threaded_process(self, inputs, tmp_path, monkeypatch):
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status to count threads in")
+        # numpy's OpenBLAS joins its thread pool inside fork() (a
+        # pthread_atfork handler), so the parent's count just after the fork
+        # is the count the fork saw; a thread alive then is alive after it
+        real_fork, threads = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                with open("/proc/self/status") as fh:
+                    threads.append(next(int(ln.split()[1]) for ln in fh if ln.startswith("Threads:")))
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        self.cpus(monkeypatch, 3)
+        self.decode(inputs, 5, use_corrector=True)
+        compare_masking_modes(tiny_config(seeds=(5,), output_dir=str(tmp_path)))
+        assert threads and set(threads) == {1}, threads
+
+    def test_a_second_thread_keeps_every_job_in_this_process(self, inputs, monkeypatch):
+        self.cpus(monkeypatch, 1)
+        expected = self.decode(inputs, 5, temperature=0.8, use_corrector=True)
+
+        def fork():
+            raise AssertionError("forked while a second thread was alive")
+
+        monkeypatch.setattr(os, "fork", fork)
+        self.cpus(monkeypatch, 3)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            decoded = self.decode(inputs, 5, temperature=0.8, use_corrector=True)
+        finally:
+            release.set()
+            other.join()
+        for mine, theirs in zip(expected, decoded):
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_a_nested_fan_out_forks_no_further(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+
+        def job(_):
+            return os.getpid(), fan_out(lambda _: os.getpid(), [0, 1])
+
+        (first, inner_first), (second, inner_second) = fan_out(job, [0, 1])
+        assert first == os.getpid() != second
+        assert inner_first == [first, first] and inner_second == [second, second]
+        # the marker ends with the outer fan-out
+        assert fan_out(lambda _: os.getpid(), [0, 1])[1] != os.getpid()
         self.assert_no_child_left()
 
     def test_cli_bytes_pinned_to_one_cpu_equal_unpinned(self, decode_inputs, tmp_path):
