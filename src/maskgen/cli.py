@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-corpus, train, train-corrector, decode, eval,
-ablate-steps, compare-modes, dump-schedule. Flags mirror the experiment
-config keys; any subcommand that draws randomness requires an explicit
+ablate-steps, compare-modes, dump-schedule. A flag that sets an
+experiment config key takes the key's parser, default and value rule from
+``ExperimentConfig``; any subcommand that draws randomness requires an explicit
 seed (from the config file or --seed). Exit codes: 0 success, 2 config
 error (an unusable path included), 3 numeric failure.
 """
@@ -13,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -41,8 +42,6 @@ def _check_writable(field: str, path) -> None:
 
 
 def _cmd_gen_corpus(args) -> int:
-    for key in ("vocab_size", "num_docs", "seq_len", "zipf_exponent", "seed"):
-        harness.check_value(key, getattr(args, key))
     _check_writable("out", args.out)
     if args.freq_csv:
         _check_writable("freq_csv", args.freq_csv)
@@ -73,11 +72,7 @@ def _cmd_train_corrector(args) -> int:
     cfg = _load_cfg(args)
     path = args.model_out or os.path.join(cfg.output_dir, "corrector.bin")
     harness.start_run(cfg, files=(path,))
-    corpus = corpuslib.generate_corpus(
-        cfg.vocab_size, cfg.num_docs, cfg.seq_len, cfg.zipf_exponent, cfg.markov_order,
-        harness.derive_seeds(cfg.seed)["train_corpus"],
-    )
-    model, history = harness.fit_corrector(cfg, corpus)
+    model, history = harness.fit_corrector(cfg, harness._corpora(cfg)[0])
     corrlib.save_corrector(model, path)
     print(f"trained corrector -> {path} (loss/position {history[-1].loss_per_position:.4f})")
     return 0
@@ -97,11 +92,6 @@ def _cmd_decode(args) -> int:
         raise ConfigError("temperature", f"must be finite and >= 0, got {args.temperature}")
     if args.seed is None and args.temperature > 0.0:
         raise ConfigError("seed", "--seed is required with a temperature above 0")
-    if args.seed is not None:
-        harness.check_value("seed", args.seed)
-    if args.rounds < 0:
-        raise ConfigError("rounds", f"must be >= 0, got {args.rounds}")
-    harness.check_value("theta", args.theta)
     _check_writable("out", args.out)
     if args.trace:
         _check_writable("trace", args.trace)
@@ -112,15 +102,15 @@ def _cmd_decode(args) -> int:
     for field, loaded in (("input", observations), ("freq_csv", freq), ("corrector", corrector)):
         if loaded is not None and loaded.vocab_size != model.vocab_size:
             raise ConfigError(field, f"vocab {loaded.vocab_size} != model vocab {model.vocab_size}")
-    if not 1 <= args.n_steps <= observations.seq_len:
-        raise ConfigError("n_steps", f"must lie in [1, seq_len {observations.seq_len}], got {args.n_steps}")
+    if args.n_steps > observations.seq_len:
+        raise ConfigError("n_steps", f"must not exceed seq_len ({observations.seq_len}), got {args.n_steps}")
     mode = MaskMode(args.mask_mode)
     if mode is MaskMode.CTF and freq is None:
         raise ConfigError("freq_csv", "--freq-csv is required for ctf decoding")
     sched = ScheduleConfig(n_steps=args.n_steps, mode=mode)
     streams = np.random.SeedSequence(args.seed or 0).spawn(observations.num_docs)
     decoded, traces = harness.decode_all(
-        model, observations.tokens, sched, freq, corrector, args.theta, args.rounds,
+        model, observations.tokens, sched, freq, corrector, args.theta, args.corrector_rounds,
         refill=sched if args.refill == "full" else None, temperature=args.temperature,
         rngs=(np.random.default_rng(stream) for stream in streams),
     )
@@ -166,8 +156,6 @@ def _cmd_compare_modes(args) -> int:
 
 
 def _cmd_dump_schedule(args) -> int:
-    for key in ("n_steps", "seq_len"):
-        harness.check_value(key, getattr(args, key))
     corpuslib.write_csv(
         args.out, "step,expected_masked", dump_schedule_rows(ScheduleConfig(n_steps=args.n_steps), args.seq_len),
         [f"n_steps={args.n_steps} seq_len={args.seq_len}"],
@@ -176,14 +164,23 @@ def _cmd_dump_schedule(args) -> int:
     return 0
 
 
+_DEFAULTS = {f.name: f.default for f in fields(harness.ExperimentConfig) if f.default is not MISSING}
+
+
+def _add_key_flag(p: argparse.ArgumentParser, key: str, flag: str | None = None, **kwargs) -> None:
+    """Add the flag (``--<key>`` unless named) that sets config key ``key``,
+    with the key's config parser as its type and, unless given, the key's
+    ``ExperimentConfig`` default (None for ``seed``, which has none) as its
+    default. ``main`` checks its value by the key's rule."""
+    kwargs.setdefault("default", _DEFAULTS.get(key))
+    p.add_argument(flag or "--" + key.replace("_", "-"), dest=key, type=harness._PARSERS[key], **kwargs)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="experiment config file (key = value lines)")
-    p.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    p.add_argument("--output-dir", dest="output_dir", help="artifact directory")
-    for key, parser_fn in harness._PARSERS.items():
-        if key in ("seed", "output_dir"):
-            continue
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=parser_fn, default=None)
+    helps = {"seed": "master seed (overrides the config)", "output_dir": "artifact directory"}
+    for key in harness._PARSERS:
+        _add_key_flag(p, key, default=None, help=helps.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,12 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus file")
-    p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--num-docs", type=int, required=True)
-    p.add_argument("--seq-len", type=int, required=True)
-    p.add_argument("--zipf-exponent", type=float, default=1.2)
-    p.add_argument("--markov-order", type=int, default=1, choices=(0, 1))
-    p.add_argument("--seed", type=int, required=True)
+    for key in ("vocab_size", "num_docs", "seq_len", "seed"):
+        _add_key_flag(p, key, required=True)
+    _add_key_flag(p, "zipf_exponent")
+    _add_key_flag(p, "markov_order")
     p.add_argument("--out", required=True)
     p.add_argument("--freq-csv", help="also write the frequency table CSV")
     p.set_defaults(fn=_cmd_gen_corpus)
@@ -215,17 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="corpus file of observations")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-steps", type=int, default=10)
-    p.add_argument("--mask-mode", choices=("uniform", "ctf"), default="uniform")
+    _add_key_flag(p, "n_steps")
+    _add_key_flag(p, "mask_mode", help="uniform or ctf")
     p.add_argument("--freq-csv", help="frequency table (required for ctf)")
     p.add_argument("--temperature", type=float, default=0.0,
                    help="sampling temperature, annealed to 0 over the steps; 0 is greedy")
     p.add_argument("--corrector", help="optional corrector checkpoint")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--rounds", type=int, default=2)
+    _add_key_flag(p, "theta")
+    _add_key_flag(p, "corrector_rounds", "--rounds")
     p.add_argument("--refill", choices=("single", "full"), default="single",
                    help="refill re-masked positions with a one-step or a full decode")
-    p.add_argument("--seed", type=int, help="required with a temperature above 0")
+    _add_key_flag(p, "seed", help="required with a temperature above 0")
     p.add_argument("--trace", help="write the last sequence's decode trace CSV")
     p.set_defaults(fn=_cmd_decode)
 
@@ -242,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare_modes)
 
     p = sub.add_parser("dump-schedule", help="expected masked count per step")
-    p.add_argument("--n-steps", type=int, required=True)
-    p.add_argument("--seq-len", type=int, required=True)
+    for key in ("n_steps", "seq_len"):
+        _add_key_flag(p, key, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dump_schedule)
     return parser
@@ -252,6 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for key in harness._PARSERS:  # every config-key flag of the subcommand, by its key's rule
+            if (value := getattr(args, key, None)) is not None:
+                harness.check_value(key, value)
         return args.fn(args)
     except (ConfigError, OSError) as exc:  # OSError: a path that cannot be read or written as asked
         print(f"config error: {exc}", file=sys.stderr)

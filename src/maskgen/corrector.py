@@ -61,8 +61,8 @@ class CorrectorTrainConfig:
     lr: float
     epochs: int
     seed: int
-    dim: int = 16
-    radius: int = 2
+    dim: int
+    radius: int
     max_rate: float = 0.3
 
 

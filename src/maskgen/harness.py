@@ -70,7 +70,7 @@ class ExperimentConfig:
     n_steps: int = 10
     mask_mode: str = "uniform"  # uniform | ctf
     embed_dim: int = 32
-    radius: int = 1
+    radius: int = 1  # window small enough that commits extend the receptive field
     lr: float = 1.5
     epochs: int = 16
     batch: int = 8
@@ -618,10 +618,9 @@ def compare_masking_modes(cfg: ExperimentConfig) -> dict[tuple[int, str, bool], 
     for i, (seed, _, test_corpus, freq) in enumerate(setups):
         ctf, uniform, (corrector, _) = trained[3 * i : 3 * i + 3]
         for mode, (sched, model, _) in (("uniform", uniform), ("ctf", ctf)):
-            cell_cfg = replace(cfg, seed=seed, mask_mode=mode)
             for use_corr in (False, True):
                 report = evaluate(
-                    model, test_corpus, freq, sched, cell_cfg, derive_seeds(seed)["eval"],
+                    model, test_corpus, freq, sched, cfg, derive_seeds(seed)["eval"],
                     corrector if use_corr else None,
                 )
                 results[(seed, mode, use_corr)] = report

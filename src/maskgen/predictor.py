@@ -127,8 +127,8 @@ class TrainConfig:
     batch: int
     rho: float  # substitution rate used to build conditioning
     seed: int
-    dim: int = 32
-    radius: int = 1  # window small enough that commits extend the receptive field
+    dim: int
+    radius: int
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Config parsing, metrics, experiment pipelines, CSV artifacts, CLI."""
 
+import argparse
+import dataclasses
 import os
 import pickle
 import signal
@@ -14,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskgen
+from maskgen.cli import build_parser
 from maskgen.cli import main as cli_main
 from maskgen.corpus import document_frequency, generate_corpus, load_corpus, save_corpus, save_frequency_csv
 from maskgen.corrector import init_corrector, save_corrector
 from maskgen.errors import ConfigError, NumericsError
 from maskgen.harness import (
+    _PARSERS,
     ExperimentConfig,
     ablate_steps,
     build_pipeline,
@@ -507,6 +511,7 @@ DECODE_EXIT_CODES = {
     "trace_under_a_file": (["--trace", "{d}/model.bin/trace.csv"], 2),
     "out_under_a_file": (["--out", "{d}/model.bin/out.txt"], 2),
     "theta_above_one": (["--corrector", "{d}/corr.bin", "--theta", "1.5"], 2),
+    "unknown_mask_mode": (["--mask-mode", "nope"], 2),
     "nan_model": (["--model", "{d}/nan.bin"], 3),
 }
 
@@ -540,6 +545,7 @@ def test_decode_exit_codes(decode_inputs, tmp_path, capsys, monkeypatch, flags, 
 
 GEN_CORPUS = ["gen-corpus", "--seed", "1", "--out", "{tmp}/corpus.txt"]
 DUMP_SCHEDULE = ["dump-schedule", "--out", "{tmp}/schedule.csv"]
+DECODE = ["decode", "--model", "{tmp}/model.bin", "--input", "{tmp}/obs.txt", "--out", "{tmp}/out.txt"]
 CONFIG_VALUE_EXIT_CODES = {
     "eval_zipf_exponent": ("zipf_exponent", ["eval", "--zipf-exponent", "-1"]),
     "eval_markov_order": ("markov_order", ["eval", "--markov-order", "2"]),
@@ -562,8 +568,14 @@ CONFIG_VALUE_EXIT_CODES = {
         "zipf_exponent",
         GEN_CORPUS + ["--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--zipf-exponent", "-1"],
     ),
+    "gen_corpus_markov_order": (
+        "markov_order",
+        GEN_CORPUS + ["--vocab-size", "4", "--num-docs", "2", "--seq-len", "4", "--markov-order", "2"],
+    ),
     "dump_schedule_n_steps": ("n_steps", DUMP_SCHEDULE + ["--n-steps", "0", "--seq-len", "4"]),
     "dump_schedule_seq_len": ("seq_len", DUMP_SCHEDULE + ["--n-steps", "2", "--seq-len", "0"]),
+    "decode_mask_mode": ("mask_mode", DECODE + ["--mask-mode", "nope"]),
+    "decode_rounds": ("corrector_rounds", DECODE + ["--rounds", "-1"]),
 }
 
 
@@ -576,6 +588,28 @@ def test_config_value_exit_codes(tmp_path, capsys, field, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field}:"), err
     assert not any(tmp_path.iterdir())  # rejected before anything is written
+
+
+def test_every_config_key_flag_follows_the_config_schema():
+    """A flag that sets a config key parses it with the key's config parser
+    and has no argparse ``choices`` (``check_value`` holds the rules). Outside
+    the subcommands that read a whole config, it defaults to the key's
+    ``ExperimentConfig`` default (``seed`` has none) or is required."""
+    config_commands = {"train", "train-corrector", "eval", "ablate-steps", "compare-modes"}
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.default is not dataclasses.MISSING}
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    taken = {}
+    for name, sub in subcommands.items():
+        flags = [a for a in sub._actions if a.dest in _PARSERS]
+        taken[name] = {a.dest for a in flags}
+        for action in flags:
+            assert action.type is _PARSERS[action.dest] and action.choices is None, (name, action.option_strings)
+            expected = None if name in config_commands else defaults.get(action.dest)
+            assert action.required or action.default == expected, (name, action.option_strings, action.default)
+    assert all(taken[name] == set(_PARSERS) for name in config_commands)
+    assert taken["gen-corpus"] == {"vocab_size", "num_docs", "seq_len", "zipf_exponent", "markov_order", "seed"}
+    assert taken["decode"] == {"n_steps", "mask_mode", "theta", "corrector_rounds", "seed"}
+    assert taken["dump-schedule"] == {"n_steps", "seq_len"}
 
 
 # {file} is a regular file and {dir} a directory, both made before the run
