@@ -245,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # a config-key flag's parser raises ConfigError, which argparse lets through
+        args = build_parser().parse_args(argv)
         for key in harness._PARSERS:  # every config-key flag of the subcommand, by its key's rule
             if (value := getattr(args, key, None)) is not None:
                 harness.check_value(key, value)

@@ -196,17 +196,41 @@ def substitute(
     probability ``rate`` by one of the other vocab_size-1 tokens, drawn
     uniformly. Returns the output and the bool mask of substituted
     positions, which are exactly the positions that changed. Rate 0 draws
-    nothing from ``rng``."""
+    nothing from ``rng``. The channel's draws (``draw_substitution``) and
+    their application (``apply_substitution``) can also run apart."""
+    clean = np.asarray(clean, dtype=np.int64)
+    return apply_substitution(clean, vocab_size, rate, draw_substitution(clean.shape[0], vocab_size, rate, rng))
+
+
+def draw_substitution(
+    seq_len: int, vocab_size: int, rate: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The channel's draws for one sequence of ``seq_len`` positions: a
+    uniform per position, which substitutes it when below ``rate``, and an
+    offset in [1, V) per position. None at rate 0, which draws nothing.
+    Raises ``ValueError`` on a rate outside [0, 1], or above 0 with a vocab
+    below 2."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"substitution rate must be in [0,1], got {rate}")
-    clean = np.asarray(clean, dtype=np.int64)
     if rate == 0.0:
-        return clean.copy(), np.zeros(clean.shape[0], dtype=bool)
+        return None
     if vocab_size < 2:
         raise ValueError("cannot substitute tokens with vocab_size < 2")
-    hit = rng.random(clean.shape[0]) < rate
+    return rng.random(seq_len), rng.integers(1, vocab_size, size=seq_len)
+
+
+def apply_substitution(
+    clean: np.ndarray, vocab_size: int, rate: float, draws: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``substitute``'s output and substituted positions for ([B,] T)
+    ``clean`` and the draws of ``draw_substitution``, stacked to the shape
+    of ``clean`` for a batch (None at rate 0)."""
+    clean = np.asarray(clean, dtype=np.int64)
+    if draws is None:
+        return clean.copy(), np.zeros(clean.shape, dtype=bool)
+    uniforms, offsets = draws
+    hit = uniforms < rate
     # offset in [1, V) guarantees the replacement differs from the original
-    offsets = rng.integers(1, vocab_size, size=clean.shape[0])
     out = clean.copy()
     out[hit] = (clean[hit] + offsets[hit]) % vocab_size
     return out, hit

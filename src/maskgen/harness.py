@@ -28,7 +28,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, Iterable, NoReturn, Sequence
 
@@ -107,7 +107,22 @@ _TYPE_PARSERS = {
     "bool": _parse_bool,
     "tuple[int, ...]": _parse_int_tuple,
 }
-_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
+
+
+def _key_parser(key: str, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` for config key ``key``, raising a ``ConfigError`` that names
+    the key when it rejects the text, in a config file and on a flag alike."""
+
+    def parser(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(key, f"cannot parse {raw!r}: {exc}") from None
+
+    return parser
+
+
+_PARSERS = {f.name: _key_parser(f.name, _TYPE_PARSERS[f.type]) for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -124,10 +139,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(key, "unknown configuration key")
         if key in values:
             raise ConfigError(key, f"repeated on line {lineno}")
-        try:
-            values[key] = _PARSERS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(key, f"cannot parse {raw!r}: {exc}") from None
+        values[key] = _PARSERS[key](raw)
     if "seed" not in values:
         raise ConfigError("seed", "seed is required; no wall-clock defaults")
     cfg = ExperimentConfig(**values)
@@ -241,6 +253,8 @@ class MetricsReport:
     decile_accuracy: list[float]  # nan for empty buckets
     decile_counts: list[int]
     step_trace: list[tuple[int, float, float]]  # (step, mean open count, mean confidence)
+    # with a corrector, the report of the same decodes before correction
+    uncorrected: MetricsReport | None = field(default=None, repr=False, compare=False)
 
 
 def frequency_deciles(table: FrequencyTable) -> np.ndarray:
@@ -378,11 +392,13 @@ def train_cells(cells: Sequence[Callable[[], object]]) -> list:
 def decode_all(
     model: PredictorModel, observations: np.ndarray, sched: ScheduleConfig, freq: FrequencyTable | None,
     corrector: CorrectorModel | None, theta: float, rounds: int, refill: ScheduleConfig | None,
-    temperature: float, rngs: Iterable[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
+    temperature: float, rngs: Iterable[np.random.Generator], uncorrected: bool = False,
+) -> tuple[np.ndarray, ...]:
     """``_decode_rows`` over the rows of the (N, T) ``observations``, with
     one generator per row from ``rngs``, spread over the CPUs of the
-    process's affinity mask.
+    process's affinity mask: the (N, T) decoded tokens and the (N, n_steps,
+    2) traces, and with ``uncorrected`` also the (N, T) decodes before
+    correction.
 
     The rows are split into ``cpu_shards``; ``fan_out`` decodes the first
     here and each other in a forked child, and the parts are joined in row
@@ -396,18 +412,19 @@ def decode_all(
         raise ValueError(f"{len(rngs)} generators for {n} rows")
     parts = fan_out(
         lambda rows: _decode_rows(
-            model, observations[rows], sched, freq, corrector, theta, rounds, refill, temperature, rngs[rows]
+            model, observations[rows], sched, freq, corrector, theta, rounds, refill, temperature, rngs[rows],
+            uncorrected,
         ),
         cpu_shards(n),
     )
-    return np.concatenate([decoded for decoded, _ in parts]), np.concatenate([traces for _, traces in parts])
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _decode_rows(
     model: PredictorModel, observations: np.ndarray, sched: ScheduleConfig, freq: FrequencyTable | None,
     corrector: CorrectorModel | None, theta: float, rounds: int, refill: ScheduleConfig | None,
-    temperature: float, rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
+    temperature: float, rngs: list[np.random.Generator], uncorrected: bool = False,
+) -> tuple[np.ndarray, ...]:
     """The one per-sequence inference loop over the rows of the (N, T)
     ``observations``, with one generator per row from ``rngs``.
 
@@ -415,19 +432,23 @@ def _decode_rows(
     priors from ``freq`` (CTF only), decoded at ``temperature``, and, with a
     corrector, corrected with ``theta``, ``rounds`` and ``refill`` (see
     ``correct``). Returns the (N, T) decoded tokens and the (N, n_steps, 2)
-    trace rows (open count, mean confidence) of every decode.
+    trace rows (open count, mean confidence) of every decode, and with
+    ``uncorrected`` the (N, T) decodes before correction after them.
     """
     decoded = np.empty_like(observations)
     traces = np.empty((observations.shape[0], sched.n_steps, 2))
+    before = np.empty_like(observations) if uncorrected else None
     for j, (obs, rng) in enumerate(zip(observations, rngs, strict=True)):
         ctx = build_conditioning(obs, model)
         p_base = sequence_base_probabilities(freq, obs) if sched.mode is MaskMode.CTF else None
         out, trace = decode(model, ctx, sched, rng=rng, temperature=temperature, p_base=p_base)
+        if before is not None:
+            before[j] = out
         if corrector is not None:
             out = correct(out, model, ctx, corrector, theta, rounds, refill=refill, p_base=p_base)
         decoded[j] = out
         traces[j] = [(row.open_count, row.mean_confidence) for row in trace]
-    return decoded, traces
+    return (decoded, traces) if before is None else (decoded, traces, before)
 
 
 def evaluate(
@@ -442,29 +463,40 @@ def evaluate(
     """Distort, decode and correct every held-out sequence and score it
     against the clean tokens. Each sequence draws from its own RNG stream
     derived from ``eval_seed``, so results do not depend on evaluation order.
+
+    With a corrector, the report's ``uncorrected`` field scores the same
+    decodes before correction: the report ``evaluate`` gives without the
+    corrector, since a greedy decode draws nothing from its stream.
     """
     clean = test_corpus.tokens
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(eval_seed).spawn(test_corpus.num_docs)]
     distorted = np.stack([corrupt_sequence(row, test_corpus.vocab_size, cfg.rho, rng) for row, rng in zip(clean, rngs)])
-    decoded, traces = decode_all(
+    decoded, traces, *before = decode_all(
         model, distorted, sched, freq, corrector, cfg.theta, cfg.corrector_rounds,
-        refill=None, temperature=0.0, rngs=rngs,
+        refill=None, temperature=0.0, rngs=rngs, uncorrected=corrector is not None,
     )
+    # per-step means of 1-D columns: a mean over axis 0 sums in another order
+    mean_trace = [(i, float(traces[:, i, 0].mean()), float(traces[:, i, 1].mean())) for i in range(sched.n_steps)]
+    report = _score(decoded, clean, freq, mean_trace)
+    if before:
+        report.uncorrected = _score(before[0], clean, freq, mean_trace)
+    return report
 
+
+def _score(decoded: np.ndarray, clean: np.ndarray, freq: FrequencyTable, step_trace: list) -> MetricsReport:
+    """The report of (N, T) ``decoded`` tokens against the ``clean`` ones."""
     hit = decoded == clean
     deciles = frequency_deciles(freq)[clean]
     dec_hits = np.bincount(deciles[hit], minlength=10)
     dec_total = np.bincount(deciles.ravel(), minlength=10)
-    n = test_corpus.num_docs
-    # per-step means of 1-D columns: a mean over axis 0 sums in another order
-    mean_trace = [(i, float(traces[:, i, 0].mean()), float(traces[:, i, 1].mean())) for i in range(sched.n_steps)]
+    n = clean.shape[0]
     return MetricsReport(
         overall_accuracy=int(hit.sum()) / clean.size,
         exact_match=int(hit.all(axis=1).sum()) / n,
         mean_edit_distance=int(edit_distance(decoded, clean).sum()) / n,
         decile_accuracy=[float(h / t) if t else float("nan") for h, t in zip(dec_hits, dec_total)],
         decile_counts=[int(c) for c in dec_total],
-        step_trace=mean_trace,
+        step_trace=list(step_trace),
     )
 
 
@@ -591,7 +623,8 @@ def ablate_steps(cfg: ExperimentConfig) -> list[tuple[int, float, float]]:
 
 def compare_masking_modes(cfg: ExperimentConfig) -> dict[tuple[int, str, bool], MetricsReport]:
     """Four cells (uniform/ctf x corrector off/on) per seed, with shared
-    corpora and seeds across cells. Returns reports keyed by
+    corpora and seeds across cells; both cells of a mode score one decode
+    of its model, before and after correction. Returns reports keyed by
     (seed, mode, corrector_on) and writes summary plus per-decile CSVs."""
     if not cfg.seeds:
         raise ConfigError("seeds", "need at least one seed for paired comparisons")
@@ -600,8 +633,10 @@ def compare_masking_modes(cfg: ExperimentConfig) -> dict[tuple[int, str, bool], 
     # corpora, frequency table and corrector do not depend on the mode, and
     # each stage draws from its own sub-seed: they are built once per seed,
     # and only the predictor is trained per mode. Every training runs at
-    # once through train_cells; the CTF predictor, the longest, comes first,
-    # so on two CPUs it has one to itself.
+    # once through train_cells. The two predictors train in about the same
+    # time, about eight times the corrector's, so a predictor comes first:
+    # on two CPUs it has one to itself, and the other predictor shares the
+    # second with the corrector.
     setups = [(seed, *_corpora(replace(cfg, seed=seed))) for seed in cfg.seeds]
     cells = []
     for seed, train_corpus, _, freq in setups:
@@ -618,11 +653,9 @@ def compare_masking_modes(cfg: ExperimentConfig) -> dict[tuple[int, str, bool], 
     for i, (seed, _, test_corpus, freq) in enumerate(setups):
         ctf, uniform, (corrector, _) = trained[3 * i : 3 * i + 3]
         for mode, (sched, model, _) in (("uniform", uniform), ("ctf", ctf)):
-            for use_corr in (False, True):
-                report = evaluate(
-                    model, test_corpus, freq, sched, cfg, derive_seeds(seed)["eval"],
-                    corrector if use_corr else None,
-                )
+            # one decode per model: the corrector-off cell scores it before correction
+            corrected = evaluate(model, test_corpus, freq, sched, cfg, derive_seeds(seed)["eval"], corrector)
+            for use_corr, report in ((False, corrected.uncorrected), (True, corrected)):
                 results[(seed, mode, use_corr)] = report
                 cell = (seed, mode, int(use_corr))
                 summary_rows.append(

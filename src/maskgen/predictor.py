@@ -20,7 +20,8 @@ unmasked positions contribute exactly zero gradient.
 ``window_adjoint`` take either one sequence ((T,) ids, (T, D) rows) or a
 batch with a leading axis ((B, T), (B, T, D)); one sequence is the B = 1
 case of the same code. Training runs each minibatch as one batched pass
-that reproduces per-example SGD bit for bit. The matrix products run as
+that reproduces per-example SGD bit for bit, and normalizes, scores and
+differentiates only the batch's masked rows. The matrix products run as
 ``np.matmul`` over the stacked sequences, which makes for each sequence the
 same BLAS call that a single-sequence pass makes; a single product over all
 B*T rows would round differently when T is 1, where numpy switches from a
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import keep_freed_heap, one_blas_thread
-from .corpus import Corpus, FrequencyTable, corrupt_sequence, sequence_base_probabilities
+from .corpus import Corpus, FrequencyTable, apply_substitution, draw_substitution, sequence_base_probabilities
 from .errors import NumericsError
 from .schedule import (
     MaskMode,
@@ -49,7 +50,7 @@ from .schedule import (
     apply_mask,
     cosine_probability,
     ctf_probabilities,
-    sample_mask,
+    threshold_mask,
 )
 
 CHECKPOINT_MAGIC = b"MGPRED\x00\x01"
@@ -100,7 +101,7 @@ class ConditioningContext:
 
 @dataclass
 class PredictionOutput:
-    probs: np.ndarray  # ([B,] T, V), rows sum to 1
+    probs: np.ndarray  # ([B,] T, V), or the rows ``forward``'s positions pick; rows sum to 1
     _cache: "_ForwardCache" = field(repr=False)
 
 
@@ -110,6 +111,7 @@ class _ForwardCache:
     masked: np.ndarray  # ([B,] T) input ids, mask token allowed
     features: np.ndarray  # ([B,] T, F)
     ctx: ConditioningContext
+    positions: np.ndarray | None  # the rows ``probs`` holds; None for every row
 
 
 @dataclass
@@ -166,22 +168,33 @@ def window(u: np.ndarray, r: int) -> np.ndarray:
     """([B,] T, D*(2r+1)) windowed concatenation of the ([B,] T, D) rows of
     ``u``: block c of row t is row t + c - r of the same sequence, zero
     outside it. The predictor and the corrector build their features with
-    it."""
+    it. The zero-padded rows are written once; window t is padded rows t to
+    t + 2r, so all windows are one strided view of them, copied out in one
+    pass."""
     t, d = u.shape[-2:]
-    padded = np.zeros(u.shape[:-2] + (t + 2 * r, d))
+    lead = u.shape[:-2]
+    padded = np.zeros(lead + (t + 2 * r, d))
     padded[..., r : r + t, :] = u
-    return np.concatenate([padded[..., c : c + t, :] for c in range(2 * r + 1)], axis=-1)
+    step = padded.strides
+    windows = np.ndarray(lead + (t, 2 * r + 1, d), buffer=padded, strides=step[:-1] + step[-2:])
+    # the reshape is still a view, with overlapping rows: the copy is the pass
+    return windows.reshape(lead + (t, d * (2 * r + 1))).copy()
 
 
 def window_adjoint(dfeats: np.ndarray, r: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
     """([B,] T, D) gradient wrt ``u`` of a loss whose gradient wrt
     ``window(u, r)`` is ``dfeats``: position j collects the block of every
-    window it appears in. Written into ``out`` when given."""
+    window it appears in, in block order. Written in place into ``out``
+    when given: block 0, zeros where it does not reach, then the other
+    blocks added."""
     t = dfeats.shape[-2]
     blocks = dfeats.reshape(dfeats.shape[:-1] + (2 * r + 1, d))
     du = np.empty(dfeats.shape[:-1] + (d,)) if out is None else out
-    du[...] = 0.0
-    for c in range(2 * r + 1):
+    # block 0 of window j + r covers position j, for j below t - r
+    covered = max(0, t - r)
+    du[..., :covered, :] = blocks[..., r:, 0, :]
+    du[..., covered:, :] = 0.0
+    for c in range(1, 2 * r + 1):
         k = c - r  # block c of window t covers position t + k
         t_lo, t_hi = max(0, -k), min(t, t - k)
         if t_lo < t_hi:
@@ -209,28 +222,35 @@ def forward(
     """Per-position probability vectors over the vocabulary: (T, V) for
     (T,) input ids, (B, T, V) for a (B, T) batch.
 
-    With ``positions`` only those rows of each sequence are normalized and
-    returned, in the given order: ``probs`` is then ([B,] len(positions), V)
-    and equals the matching rows of the full output bit for bit. The logits
-    are still computed for the whole sequence, because a matrix product over
-    fewer rows may round differently.
+    With ``positions`` only the rows it picks are normalized and returned,
+    and each equals the matching row of the full output bit for bit. An
+    index array picks the same rows of every sequence, in the given order:
+    ``probs`` is then ([B,] len(positions), V). A bool array of the input's
+    shape picks the rows where it is true, in row-major order: ``probs`` is
+    then (K, V) for K true entries. The logits are still computed for the
+    whole sequence, because a matrix product over fewer rows may round
+    differently.
     """
     masked = np.asarray(masked, dtype=np.int64)
     if masked.shape != ctx.source_tokens.shape:
         raise ValueError(f"input shape {masked.shape} != conditioning shape {ctx.source_tokens.shape}")
     if masked.min(initial=0) < 0 or masked.max(initial=0) > model.vocab_size:
         raise ValueError("input token id outside [0, vocab_size] (mask token is vocab_size)")
+    if positions is not None:
+        positions = np.asarray(positions)
+        if positions.dtype == bool and positions.shape != masked.shape:
+            raise ValueError(f"row selection shape {positions.shape} != input shape {masked.shape}")
     feats = _window_features(model, masked, ctx)
     # per sequence, the product a single pass makes
     logits = np.matmul(feats, model.out_w)
-    logits += model.out_b
     if positions is not None:
         logits = logits[..., positions, :]
+    logits += model.out_b
     # log-softmax, then exp, in the logits' buffer
     logits -= logits.max(axis=-1, keepdims=True)
     logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
     probs = np.exp(logits, out=logits)
-    cache = _ForwardCache(model=model, masked=masked, features=feats, ctx=ctx)
+    cache = _ForwardCache(model=model, masked=masked, features=feats, ctx=ctx, positions=positions)
     return PredictionOutput(probs=probs, _cache=cache)
 
 
@@ -246,35 +266,54 @@ def masked_ce_loss(
     the per-example gradients added in example order, so it equals the sum
     of B single-sequence calls bit for bit.
 
-    The prediction is spent: the gradient wrt the logits (``grads.logits``)
-    is written over ``pred.probs`` and the gradient wrt the features over its
-    cached features. Read ``pred.probs`` before the call.
+    ``pred`` holds either every row or exactly the masked rows (``forward``
+    with ``positions=mask == 1``); only the masked rows are scored and
+    differentiated. ``grads.logits``, the gradient wrt the logits, is dense,
+    with zero rows at unmasked positions, so the products with it are the
+    ones a full pass makes. The prediction is spent: ``pred.probs`` becomes
+    the logit gradient (written over it when it holds every row), and the
+    gradient wrt the features is written over its cached features. Read
+    ``pred.probs`` before the call.
     """
     target = np.asarray(target, dtype=np.int64)
     mask = np.asarray(mask)
     cache = pred._cache
     model = cache.model
-    if pred.probs.shape[:-1] != target.shape or mask.shape != target.shape:
+    if cache.masked.shape != target.shape or mask.shape != target.shape:
         raise ValueError("target / mask / prediction shapes disagree")
     r, d, v, f = model.radius, model.dim, model.vocab_size, model.feature_dim
     t = target.shape[-1]
     # one sequence is a batch of one; these reshapes are views
-    dlogits = pred.probs.reshape(-1, t, v)
     feats = cache.features.reshape(-1, t, f)
     targets = target.reshape(-1, t)
-    m = mask.reshape(-1, t).astype(np.float64)
+    on = mask.reshape(-1, t) == 1
     nb = targets.shape[0]
+    # probs: the (K, V) masked rows in row-major order; dlogits: the dense
+    # logit gradient, zero until they are written back into it
+    if cache.positions is None:
+        dlogits = pred.probs.reshape(-1, t, v)
+        probs = dlogits[on]
+        dlogits[...] = 0.0
+    elif cache.positions.dtype == bool and np.array_equal(cache.positions.reshape(-1, t), on):
+        probs = pred.probs
+        dlogits = np.zeros((nb, t, v))
+    else:
+        raise ValueError("the prediction holds other rows than the masked ones")
 
+    # each example's loss sums only its own masked rows, so an unmasked
+    # position with an underflowed probability cannot poison it
+    hit = (np.arange(probs.shape[0]), targets[on])
+    log_p = np.log(probs[hit])
+    counts = on.sum(axis=1)
+    starts = np.cumsum(counts) - counts
     losses = np.zeros(nb)
-    for b in range(nb):
-        # sum only over masked positions; an unmasked position with an
-        # underflowed probability must not poison the loss with 0 * -inf
-        on = np.flatnonzero(m[b] == 1)
-        if on.size:
-            losses[b] = -np.log(dlogits[b, on, targets[b, on]]).sum()
-
-    dlogits[np.arange(nb)[:, None], np.arange(t), targets] -= 1.0
-    dlogits *= m[..., None]
+    for b in np.flatnonzero(counts):
+        losses[b] = -log_p[starts[b] : starts[b] + counts[b]].sum()
+    probs[hit] -= 1.0
+    dlogits[on] = probs
+    # the prediction's own rows are spent: free them before the backward pass
+    pred.probs = dlogits.reshape(target.shape + (v,))
+    del probs
 
     g_w = np.zeros_like(model.out_w)
     g_b = np.zeros_like(model.out_b)
@@ -283,20 +322,20 @@ def masked_ce_loss(
         g_b += dlogits[b].sum(axis=0)
 
     dfeats = np.matmul(dlogits, model.out_w.T, out=feats)  # the features are spent
-    # example b's input-route rows, then its conditioning-route rows
-    rows = np.empty((nb, 2, t, d))
-    du = window_adjoint(dfeats, r, d, out=rows[:, 0])
+    # the input-route rows of every example, then its conditioning-route rows
+    rows = np.empty((2, nb, t, d))
+    du = window_adjoint(dfeats, r, d, out=rows[0])
     # the center block also feeds the global vector, the mean of the cond rows
-    np.add(du, dfeats[..., r * d : (r + 1) * d].sum(axis=-2, keepdims=True) / t, out=rows[:, 1])
+    np.add(du, dfeats[..., r * d : (r + 1) * d].sum(axis=-2, keepdims=True) / t, out=rows[1])
 
     # per example, one scatter of both routes' rows into flat (token, k)
     # bins: the order of np.add.at over the same rows
     g_e = np.zeros_like(model.embedding)
-    offsets = np.stack([cache.masked.reshape(-1, t), cache.ctx.source_tokens.reshape(-1, t)], axis=1)[..., None] * d
+    tokens = np.stack([cache.masked.reshape(-1, t), cache.ctx.source_tokens.reshape(-1, t)])
     cols = np.arange(d)
     for b in range(nb):
-        bins = (offsets[b] + cols).ravel()
-        g_e += np.bincount(bins, weights=rows[b].ravel(), minlength=g_e.size).reshape(g_e.shape)
+        bins = (tokens[:, b, :, None] * d + cols).ravel()
+        g_e += np.bincount(bins, weights=rows[:, b].ravel(), minlength=g_e.size).reshape(g_e.shape)
     loss = float(losses[0]) if target.ndim == 1 else losses
     return loss, PredictorGradients(embedding=g_e, out_w=g_w, out_b=g_b, logits=pred.probs)
 
@@ -329,44 +368,48 @@ def _sample_step(n_steps: int, rng: np.random.Generator) -> int:
 def _train_batch(
     model: PredictorModel,
     corpus: Corpus,
-    freq: FrequencyTable,
+    priors: np.ndarray | None,
     sched: ScheduleConfig,
     hyper: TrainConfig,
     idx: np.ndarray,
     rng: np.random.Generator,
     epoch: int,
 ) -> tuple[list[float], int, int]:
-    """One SGD step on the documents ``idx``. Returns the per-example losses,
-    the masked count and the count of masked positions predicted right.
+    """One SGD step on the documents ``idx``, with ``priors`` the (N, T)
+    rarity priors of every document (CTF only). Returns the per-example
+    losses, the masked count and the count of masked positions predicted
+    right.
 
-    The random draws run per example, in the order of the per-example loop:
-    corrupt, schedule step, masking probabilities, mask. The forward and
-    backward passes then run once over the whole batch.
+    Each example makes the generator calls of the per-example loop, in its
+    order: the channel's draws, the schedule step, the mask's uniforms. The
+    channel, the masking probabilities and the mask are then applied once
+    to the whole batch, and the forward and backward passes run once over
+    it, on its masked rows only.
     """
-    v, t = corpus.vocab_size, corpus.seq_len
+    v, t, n = corpus.vocab_size, corpus.seq_len, len(idx)
+    channel, steps, uniforms = [], [], np.empty((n, t))
+    for b in range(n):
+        channel.append(draw_substitution(t, v, hyper.rho, rng))
+        steps.append(_sample_step(sched.n_steps, rng))
+        uniforms[b] = rng.random(t)
     clean = corpus.tokens[idx]
-    distorted = np.empty_like(clean)
-    m = np.empty(clean.shape, dtype=np.int8)
-    steps = []
-    for b in range(len(idx)):
-        distorted[b] = corrupt_sequence(clean[b], v, hyper.rho, rng)
-        step = _sample_step(sched.n_steps, rng)
-        if sched.mode is MaskMode.CTF:
-            p_base = sequence_base_probabilities(freq, clean[b])
-            probs = ctf_probabilities(p_base, step, sched.n_steps)
-        else:
-            probs = np.full(t, cosine_probability(step, sched.n_steps))
-        m[b] = sample_mask(probs, rng)
-        steps.append(step)
+    draws = None if channel[0] is None else tuple(np.stack(part) for part in zip(*channel))
+    distorted = apply_substitution(clean, v, hyper.rho, draws)[0]
+    if priors is not None:
+        probs = ctf_probabilities(priors[idx], steps, sched.n_steps)
+    else:
+        probs = np.array([[cosine_probability(step, sched.n_steps)] for step in steps])
+    m = threshold_mask(probs, uniforms)
+    on = m == 1
     ctx = build_conditioning(distorted, model)
-    pred = forward(model, apply_mask(clean, m, model.mask_token_id), ctx)
-    n_correct = int(((pred.probs.argmax(axis=-1) == clean) & (m == 1)).sum())
+    pred = forward(model, apply_mask(clean, m, model.mask_token_id), ctx, positions=on)
+    n_correct = int((pred.probs.argmax(axis=-1) == clean[on]).sum())
     losses, grads = masked_ce_loss(pred, clean, m)
     losses = losses.tolist()
     for b, loss in enumerate(losses):
         if not math.isfinite(loss):
-            raise NumericsError(f"non-finite loss {loss} at epoch {epoch}, example {idx[b]}, step {steps[b]}")
-    n_masked = int(m.sum())
+            raise NumericsError(f"non-finite loss {loss} at epoch {epoch}, document {idx[b]}, step {steps[b]}")
+    n_masked = int(on.sum())
     if n_masked > 0:
         scale = hyper.lr / n_masked
         model.embedding -= scale * grads.embedding
@@ -389,11 +432,18 @@ def train(
     coarse-to-fine), sample and apply the mask, accumulate gradients. The
     update divides the summed gradient by the batch's masked-token count.
     Each minibatch runs as one batched pass (see ``_train_batch``), bit for
-    bit the same as accumulating example by example. Deterministic for a
-    fixed seed; runs on one OpenBLAS thread and sets the process's heap to
-    keep freed pages (see ``blas``).
+    bit the same as accumulating example by example. A document's
+    coarse-to-fine rarity priors do not depend on the epoch, so they are
+    built once per document. Deterministic for a fixed seed; runs on one
+    OpenBLAS thread and sets the process's heap to keep freed pages (see
+    ``blas``).
     """
     keep_freed_heap()
+    priors = None
+    if sched.mode is MaskMode.CTF:
+        priors = np.empty(corpus.tokens.shape)
+        for j, doc in enumerate(corpus.tokens):
+            priors[j] = sequence_base_probabilities(freq, doc)
     rng = np.random.default_rng(hyper.seed)
     model = init_model(corpus.vocab_size, hyper.dim, hyper.radius, rng)
     n = corpus.num_docs
@@ -406,7 +456,7 @@ def train(
         epoch_correct = 0
         for start in range(0, n, hyper.batch):
             losses, n_masked, n_correct = _train_batch(
-                model, corpus, freq, sched, hyper, order[start : start + hyper.batch], rng, epoch
+                model, corpus, priors, sched, hyper, order[start : start + hyper.batch], rng, epoch
             )
             for loss in losses:  # example order, as the per-example loop added them
                 epoch_loss += loss

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,28 +57,34 @@ def scaled_clipped_probabilities(p_base: np.ndarray, expected_masked: float | np
     p(t) = min(expected_masked / sum(p_base) * p_base(t), 1). The sum of the
     result equals the target exactly when nothing clips and falls short of
     it otherwise. Rank order among unclipped entries is preserved. An
-    (S, 1) column of targets gives an (S, T) table, one row per target,
-    each equal bit for bit to the row of that target alone.
+    (S, 1) column of targets gives an (S, T) table, one row per target, and
+    a (B, T) batch of base probabilities with a (B, 1) column of targets
+    rescales each row by its own sum; either way each row equals bit for
+    bit the call for that row and target alone.
     """
     p_base = np.asarray(p_base, dtype=np.float64)
     if np.any(p_base <= 0.0) or np.any(p_base > 1.0):
         raise ValueError("p_base values must lie in (0, 1]")
-    total = p_base.sum()
-    if total <= 0.0:
+    total = p_base.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("sum of p_base must be positive")
     return np.minimum(expected_masked / total * p_base, 1.0)
 
 
-def ctf_probabilities(p_base: np.ndarray, i: int, n_steps: int) -> np.ndarray:
+def ctf_probabilities(p_base: np.ndarray, i: int | Sequence[int], n_steps: int) -> np.ndarray:
     """Coarse-to-fine per-token masking probabilities at step i.
 
     Matches the cosine schedule's expected masked count in aggregate while
     keeping rare tokens (high p_base) masked longer than frequent ones.
-    Uniform p_base collapses this to the plain cosine schedule.
+    Uniform p_base collapses this to the plain cosine schedule. For a
+    (B, T) batch of p_base rows, ``i`` holds one step per row, and row b
+    equals bit for bit the call for row b and step ``i[b]`` alone.
     """
     p_base = np.asarray(p_base, dtype=np.float64)
-    e_cos = expected_masked_cosine(i, n_steps, p_base.shape[0])
-    return scaled_clipped_probabilities(p_base, e_cos)
+    t = p_base.shape[-1]
+    if p_base.ndim == 1:
+        return scaled_clipped_probabilities(p_base, expected_masked_cosine(i, n_steps, t))
+    return scaled_clipped_probabilities(p_base, np.array([[expected_masked_cosine(s, n_steps, t)] for s in i]))
 
 
 def ctf_probability_table(p_base: np.ndarray, n_steps: int) -> np.ndarray:
@@ -89,11 +96,21 @@ def ctf_probability_table(p_base: np.ndarray, n_steps: int) -> np.ndarray:
 
 
 def sample_mask(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(T,) int8 mask in {0,1}: an independent Bernoulli draw per position."""
+    """(T,) int8 mask in {0,1}: an independent Bernoulli draw per position,
+    the T uniforms of ``rng.random(T)`` put through ``threshold_mask``."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return threshold_mask(probs, rng.random(probs.shape[0]))
+
+
+def threshold_mask(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """([B,] T) int8 mask in {0,1}: 1 where a position's uniform draw lies
+    below its masking probability. ``probs`` broadcasts against the
+    ``uniforms``, so a (B, 1) column gives each sequence of a batch one
+    probability; row b of a batch equals the mask of row b alone."""
     probs = np.asarray(probs, dtype=np.float64)
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError("mask probabilities must lie in [0, 1]")
-    return (rng.random(probs.shape[0]) < probs).astype(np.int8)
+    return (uniforms < probs).astype(np.int8)
 
 
 def apply_mask(tokens: np.ndarray, m: np.ndarray, mask_token_id: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 Training runs each minibatch as one batched pass. These tests pin, bit for
 bit, that ``forward`` on a (B, T) batch equals B single-sequence calls row
 for row, that ``masked_ce_loss`` returns the single-sequence losses and the
-example-order sum of their gradients, and that whole training runs at the
-default model shapes match the frozen per-example loop of
-``test_identity.oracle_train``.
+example-order sum of their gradients, that ``forward`` on a set of rows
+and ``masked_ce_loss`` on the masked rows equal the matching parts of the
+full pass, and that whole training runs at the default model shapes match
+the frozen per-example loop of ``test_identity.oracle_train``.
 """
 
 import numpy as np
@@ -95,6 +96,52 @@ def test_masked_ce_loss_batch_equals_example_order_sum(batch, t, v, d, r, seed):
     assert _bits(grads.out_b) == _bits(g_b)
 
 
+def _rows(mask, count, seed):
+    """A bool row selection of the batch: no row, one row, or the masked rows."""
+    rows = np.zeros(mask.shape, dtype=bool)
+    if count == "one":
+        rows.flat[np.random.default_rng(seed).integers(rows.size)] = True
+    elif count == "many":
+        rows = mask == 1
+    return rows
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(**shapes, count=st.sampled_from(["none", "one", "many"]))
+@example(batch=1, t=1, v=2, d=1, r=0, seed=0, count="one")
+@example(batch=6, t=12, v=8, d=4, r=2, seed=1, count="none")
+@example(batch=6, t=12, v=8, d=4, r=2, seed=1, count="many")
+def test_forward_on_a_row_set_equals_those_rows_of_the_full_output(batch, t, v, d, r, seed, count):
+    model, distorted, _, mask, masked, _ = _instance(batch, t, v, d, r, seed)
+    rows = _rows(mask, count, seed)
+    ctx = build_conditioning(distorted, model)
+    part = forward(model, masked, ctx, positions=rows).probs
+    assert part.shape == (int(rows.sum()), v)
+    assert _bits(part) == _bits(forward(model, masked, ctx).probs[rows])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(**shapes)
+@example(batch=1, t=1, v=2, d=1, r=0, seed=0)
+@example(batch=6, t=12, v=8, d=4, r=2, seed=1)
+def test_masked_ce_loss_on_the_masked_rows_equals_the_full_prediction(batch, t, v, d, r, seed):
+    model, distorted, target, mask, masked, _ = _instance(batch, t, v, d, r, seed)
+    ctx = build_conditioning(distorted, model)
+    losses, grads = masked_ce_loss(forward(model, masked, ctx, positions=mask == 1), target, mask)
+    full_losses, full = masked_ce_loss(forward(model, masked, ctx), target, mask)
+    assert repr(losses.tolist()) == repr(full_losses.tolist())
+    for name in ("embedding", "out_w", "out_b", "logits"):
+        assert _bits(getattr(grads, name)) == _bits(getattr(full, name)), name
+
+
+def test_masked_ce_loss_rejects_a_prediction_of_other_rows():
+    model, distorted, target, mask, masked, positions = _instance(3, 8, 5, 2, 1, 4)
+    ctx = build_conditioning(distorted, model)
+    for rows in (mask == 0, positions):
+        with pytest.raises(ValueError, match="other rows than the masked ones"):
+            masked_ce_loss(forward(model, masked, ctx, positions=rows), target, mask)
+
+
 def test_shape_mismatch_rejected():
     model = init_model(4, 2, 1, np.random.default_rng(0))
     ctx = build_conditioning(np.zeros((3, 5), dtype=np.int64), model)
@@ -103,3 +150,5 @@ def test_shape_mismatch_rejected():
     pred = forward(model, np.zeros((3, 5), dtype=np.int64), ctx)
     with pytest.raises(ValueError):
         masked_ce_loss(pred, np.zeros((3, 4), dtype=np.int64), np.ones((3, 4), dtype=np.int8))
+    with pytest.raises(ValueError, match="row selection shape"):
+        forward(model, np.zeros((3, 5), dtype=np.int64), ctx, positions=np.ones((3, 4), dtype=bool))

@@ -327,6 +327,30 @@ class TestCompareModes:
                               pipe.corrector)
             assert repr(results[(5, mode, True)]) == repr(report)
 
+    def test_both_cells_of_a_mode_come_from_one_decode(self, tmp_path, monkeypatch):
+        import maskgen.harness as harness_mod
+
+        calls = []
+        real = harness_mod.decode_all
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("uncorrected"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "decode_all", counted)
+        cfg = tiny_config(seeds=(5,), theta=0.05)  # a corrector that changes tokens
+        results = compare_masking_modes(replace(cfg, output_dir=str(tmp_path)))
+        assert calls == [True, True]  # one decode per model
+        monkeypatch.setattr(harness_mod, "decode_all", real)
+        for mode in ("uniform", "ctf"):
+            pipe = build_pipeline(replace(cfg, seed=5, mask_mode=mode, use_corrector=True))
+            args = (pipe.model, pipe.test_corpus, pipe.freq, pipe.sched, cfg, pipe.eval_seed)
+            off, on = evaluate(*args), evaluate(*args, pipe.corrector)
+            assert repr(results[(5, mode, False)]) == repr(off)
+            assert repr(results[(5, mode, True)]) == repr(on)
+            assert repr(on.uncorrected) == repr(off) and off.uncorrected is None
+            assert off.overall_accuracy != on.overall_accuracy
+
     def test_identity_corrector_never_changes_metrics(self, tmp_path):
         # theta=1 flags nothing, so corrector-on cells equal corrector-off
         results = compare_masking_modes(tiny_config(seeds=(5,), theta=1.0, output_dir=str(tmp_path)))
@@ -426,9 +450,10 @@ class TestCli:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("flags", [["--ablate-steps", "2,x"], ["--steps", "2,10"]], ids=["malformed", "removed"])
+    @pytest.mark.parametrize("flags", [["--steps", "2,10"]], ids=["removed"])
     def test_ablate_steps_usage_errors(self, tmp_path, monkeypatch, flags):
-        # the step counts come only from the config key, whose flag parses them
+        # the step counts come only from the config key, whose flag parses
+        # them (a malformed value is a config error: CONFIG_VALUE_EXIT_CODES)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             cli_main(["ablate-steps", "--seed", "1", *flags])
@@ -576,6 +601,11 @@ CONFIG_VALUE_EXIT_CODES = {
     "dump_schedule_seq_len": ("seq_len", DUMP_SCHEDULE + ["--n-steps", "2", "--seq-len", "0"]),
     "decode_mask_mode": ("mask_mode", DECODE + ["--mask-mode", "nope"]),
     "decode_rounds": ("corrector_rounds", DECODE + ["--rounds", "-1"]),
+    # a value the key's parser rejects
+    "eval_use_corrector_unparseable": ("use_corrector", ["eval", "--use-corrector", "maybe"]),
+    "decode_theta_unparseable": ("theta", DECODE + ["--theta", "abc"]),
+    "ablate_steps_malformed": ("ablate_steps", ["ablate-steps", "--seed", "1", "--output-dir", "{tmp}/run",
+                                                "--ablate-steps", "2,x"]),
 }
 
 
@@ -588,6 +618,22 @@ def test_config_value_exit_codes(tmp_path, capsys, field, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field}:"), err
     assert not any(tmp_path.iterdir())  # rejected before anything is written
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["eval", "--seed", "1", "--use-corrector", "maybe"], "use_corrector = maybe"),
+    (["eval", "--seed", "1", "--theta", "abc"], "theta = abc"),
+    (["compare-modes", "--seed", "1", "--seeds", "5,x"], "seeds = 5,x"),
+], ids=["bool", "float", "int_tuple"])
+def test_an_unparseable_flag_reads_as_in_a_config_file(tmp_path, capsys, argv, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"seed = 1\n{line}\n")
+    assert cli_main(argv + ["--output-dir", str(tmp_path / "run")]) == 2
+    from_flag = capsys.readouterr().err
+    assert cli_main([argv[0], "--config", str(bad), "--output-dir", str(tmp_path / "run")]) == 2
+    assert from_flag == capsys.readouterr().err
+    assert from_flag.startswith(f"config error: {line.split()[0]}: cannot parse ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 def test_every_config_key_flag_follows_the_config_schema():
@@ -735,6 +781,25 @@ class TestFanOut:
             self.decode(inputs, 5)
         self.assert_no_child_left()
 
+    def test_cli_decode_keeps_no_uncorrected_rows(self, decode_inputs, tmp_path, monkeypatch):
+        import maskgen.harness as harness_mod
+
+        self.cpus(monkeypatch, 1)  # every shard here, where the spy sees it
+        shapes = []
+        real = harness_mod._decode_rows
+
+        def spy(*args):
+            parts = real(*args)
+            shapes.append([part.shape for part in parts])
+            return parts
+
+        monkeypatch.setattr(harness_mod, "_decode_rows", spy)
+        d = decode_inputs
+        argv = ["decode", "--model", f"{d}/model.bin", "--input", f"{d}/obs.txt", "--out", str(tmp_path / "out.txt"),
+                "--corrector", f"{d}/corr.bin", "--n-steps", "4"]
+        assert cli_main(argv) == 0
+        assert shapes == [[(4, 20), (4, 4, 2)]]  # the decoded rows and the traces, nothing more
+
     def test_a_child_error_exits_3_from_the_cli(self, decode_inputs, tmp_path, capsys, monkeypatch):
         self.cpus(monkeypatch, 2)
         self.fail_in(monkeypatch, "children", self.numerics_error)
@@ -769,13 +834,17 @@ class TestFanOut:
 
     def test_compare_modes_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
         names = ("compare_modes.csv", "compare_modes_deciles.csv")
-        outputs = {}
-        for k in (1, 2, 3):
-            self.cpus(monkeypatch, k)
-            compare_masking_modes(tiny_config(seeds=(5, 6), output_dir=str(tmp_path / str(k))))
-            outputs[k] = [(tmp_path / str(k) / name).read_bytes() for name in names]
-        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
-        self.assert_no_child_left()
+        # at theta 0.05 the corrector changes tokens, so the rows of the
+        # cells built from one decode differ
+        for theta in (0.5, 0.05):
+            outputs = {}
+            for k in (1, 2, 3):
+                self.cpus(monkeypatch, k)
+                out = tmp_path / f"{theta}-{k}"
+                results = compare_masking_modes(tiny_config(seeds=(5, 6), theta=theta, output_dir=str(out)))
+                outputs[k] = [(out / name).read_bytes() for name in names], repr(sorted(results.items()))
+            assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+            self.assert_no_child_left()
 
     def test_a_training_error_in_a_child_exits_3_from_compare_modes(self, tmp_path, capsys, monkeypatch):
         import maskgen.harness as harness_mod

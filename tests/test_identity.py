@@ -193,6 +193,13 @@ def _bits(a):
 @example(mode="ctf", rho=0.3, n_steps=1, batch=7, radius=0, seed=1)
 @example(mode="ctf", rho=0.0, n_steps=5, batch=4, radius=2, seed=2)
 @example(mode="uniform", rho=0.3, n_steps=5, batch=3, radius=1, seed=3)
+# n_steps 11 at seq_len 12: the last step masks with p ~ 0.14, so some
+# examples have no masked position (see test_edge_examples_reach_their_edges)
+@example(mode="uniform", rho=0.3, n_steps=11, batch=3, radius=0, seed=33)
+@example(mode="ctf", rho=0.3, n_steps=11, batch=3, radius=0, seed=33)
+@example(mode="uniform", rho=0.3, n_steps=11, batch=3, radius=2, seed=29)
+@example(mode="uniform", rho=0.3, n_steps=11, batch=3, radius=2, seed=5)
+@example(mode="ctf", rho=0.3, n_steps=11, batch=3, radius=2, seed=4)
 def test_train_matches_frozen_oracle(mode, rho, n_steps, batch, radius, seed):
     # 10 docs: batches of 3, 4 and 7 leave a short last batch
     corpus = generate_corpus(8, 10, 12, 1.2, 1, seed=seed)
@@ -204,6 +211,42 @@ def test_train_matches_frozen_oracle(mode, rho, n_steps, batch, radius, seed):
     for name in ("embedding", "out_w", "out_b"):
         assert _bits(getattr(model, name)) == _bits(getattr(frozen, name)), name
     assert repr([(h.epoch, h.loss_sum, h.loss_per_token, h.masked_acc) for h in history]) == repr(frozen_history)
+
+
+# (mode, radius, seed) of the n_steps 11 examples above, and the edges
+# their trainings reach: an example with no masked position, a batch with
+# exactly one masked row, a batch with none
+EDGE_EXAMPLES = [
+    ("uniform", 0, 33, {"unmasked_example", "one_row_batch"}),
+    ("ctf", 0, 33, {"unmasked_example", "one_row_batch"}),
+    ("uniform", 2, 29, {"unmasked_example", "one_row_batch"}),
+    ("uniform", 2, 5, {"unmasked_example", "empty_batch"}),
+    ("ctf", 2, 4, {"unmasked_example", "empty_batch"}),
+]
+
+
+@pytest.mark.parametrize("mode,radius,seed,edges", EDGE_EXAMPLES)
+def test_edge_examples_reach_their_edges(monkeypatch, mode, radius, seed, edges):
+    import maskgen.predictor as predictor_mod
+
+    counts = []  # masked positions per example, one list per batch
+    real = predictor_mod.masked_ce_loss
+
+    def spy(pred, target, mask):
+        counts.append(np.asarray(mask).sum(axis=-1).tolist())
+        return real(pred, target, mask)
+
+    monkeypatch.setattr(predictor_mod, "masked_ce_loss", spy)
+    corpus = generate_corpus(8, 10, 12, 1.2, 1, seed=seed)
+    sched = ScheduleConfig(n_steps=11, mode=MaskMode(mode))
+    hyper = TrainConfig(lr=0.9, epochs=2, batch=3, rho=0.3, seed=seed + 1, dim=3, radius=radius)
+    train(corpus, document_frequency(corpus), sched, hyper)
+    reached = {
+        "unmasked_example": any(0 in batch for batch in counts),
+        "one_row_batch": any(sum(batch) == 1 for batch in counts),
+        "empty_batch": any(sum(batch) == 0 for batch in counts),
+    }
+    assert {edge for edge, hit in reached.items() if hit} >= edges, counts
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)

@@ -25,6 +25,7 @@ from maskgen.predictor import (
     CHECKPOINT_VERSION,
     PredictorModel,
     TrainConfig,
+    _train_batch,
     build_conditioning,
     example_loss,
     forward,
@@ -293,6 +294,43 @@ class TestTrain:
         cfg = TrainConfig(lr=1e12, epochs=3, batch=4, rho=0.2, seed=14, dim=4, radius=1)
         with np.errstate(all="ignore"), pytest.raises(NumericsError):
             train(corpus, freq, small_sched(8), cfg)
+
+    def test_first_non_finite_loss_names_its_epoch_document_and_step(self):
+        # token 5 occurs in documents 2 and 5 only, and its embedding is nan,
+        # so their losses are nan; batch order puts document 5 first
+        tokens = np.tile(np.arange(8) % 3, (8, 1))
+        tokens[2, 3] = tokens[5, 6] = 5
+        corpus = Corpus(tokens=tokens, vocab_size=6, seed=0)
+        sched = ScheduleConfig(n_steps=10)
+        hyper = TrainConfig(lr=0.5, epochs=6, batch=4, rho=0.0, seed=21, dim=3, radius=1)
+        model = init_model(6, 3, 1, np.random.default_rng(0))
+        model.embedding[5] = np.nan
+        idx = np.array([0, 5, 2, 7])
+        # at rho 0 an example draws its step, then its mask's uniforms
+        replay = np.random.default_rng(22)
+        draws = [(int(replay.integers(1, 10)), replay.random(8)) for _ in idx]
+        step, uniforms = draws[1]
+        assert (uniforms < math.cos(0.5 * math.pi * step / 10)).any()  # document 5 has a masked position
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as exc:
+            _train_batch(model, corpus, None, sched, hyper, idx, np.random.default_rng(22), epoch=4)
+        assert str(exc.value) == f"non-finite loss nan at epoch 4, document 5, step {step}"
+
+    @pytest.mark.parametrize("rho", [-0.1, 1.5])
+    @pytest.mark.parametrize("mode", [MaskMode.UNIFORM_COSINE, MaskMode.CTF])
+    def test_rho_outside_the_unit_interval_rejected(self, rho, mode):
+        corpus = generate_corpus(8, 8, 12, 1.0, 0, seed=13)
+        cfg = TrainConfig(lr=0.5, epochs=1, batch=4, rho=rho, seed=1, dim=4, radius=1)
+        with pytest.raises(ValueError) as exc:
+            train(corpus, document_frequency(corpus), ScheduleConfig(n_steps=8, mode=mode), cfg)
+        assert str(exc.value) == f"substitution rate must be in [0,1], got {rho}"
+
+    @pytest.mark.parametrize("mode", [MaskMode.UNIFORM_COSINE, MaskMode.CTF])
+    def test_substitution_in_a_single_token_vocab_rejected(self, mode):
+        corpus = Corpus(tokens=np.zeros((6, 10), dtype=np.int64), vocab_size=1, seed=0)
+        cfg = TrainConfig(lr=0.5, epochs=1, batch=3, rho=0.3, seed=4, dim=3, radius=1)
+        with pytest.raises(ValueError) as exc:
+            train(corpus, document_frequency(corpus), ScheduleConfig(n_steps=8, mode=mode), cfg)
+        assert str(exc.value) == "cannot substitute tokens with vocab_size < 2"
 
     def test_learning_curve_csv(self, tmp_path):
         corpus = generate_corpus(8, 8, 12, 1.0, 0, seed=16)
