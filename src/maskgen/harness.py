@@ -633,10 +633,10 @@ def compare_masking_modes(cfg: ExperimentConfig) -> dict[tuple[int, str, bool], 
     # corpora, frequency table and corrector do not depend on the mode, and
     # each stage draws from its own sub-seed: they are built once per seed,
     # and only the predictor is trained per mode. Every training runs at
-    # once through train_cells. The two predictors train in about the same
-    # time, about eight times the corrector's, so a predictor comes first:
-    # on two CPUs it has one to itself, and the other predictor shares the
-    # second with the corrector.
+    # once through train_cells. The two predictors train in about nine
+    # times the corrector's time, the CTF one a few per cent the longer, so
+    # it comes first: on two CPUs it has one to itself, and the uniform
+    # predictor shares the second with the corrector.
     setups = [(seed, *_corpora(replace(cfg, seed=seed))) for seed in cfg.seeds]
     cells = []
     for seed, train_corpus, _, freq in setups:
