@@ -50,7 +50,6 @@ from .schedule import (
     apply_mask,
     cosine_probability,
     ctf_probabilities,
-    ctf_probability_table,
     expected_masked_cosine,
     sample_mask,
 )

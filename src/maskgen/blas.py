@@ -69,20 +69,27 @@ def _openblas():
     return None
 
 
+_pinned = False  # a one_blas_thread scope holds the count at 1; a forked child inherits it
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block on one OpenBLAS thread, unless the user chose a count
-    through the environment. Also usable as a decorator."""
-    lib = None if any(os.environ.get(name) for name in THREAD_VARIABLES) else _openblas()
+    through the environment. Also usable as a decorator. A nested scope makes
+    no OpenBLAS call: setting the count restarts a pool thread a fork stopped."""
+    global _pinned
+    lib = None if _pinned or any(os.environ.get(name) for name in THREAD_VARIABLES) else _openblas()
     if lib is None:
         yield
         return
     get, set_ = lib
     before = get()
     set_(1)
+    _pinned = True
     try:
         yield
     finally:
+        _pinned = False
         set_(before)
 
 

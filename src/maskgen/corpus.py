@@ -1,7 +1,9 @@
 """Synthetic token corpora with controlled rarity skew, a substitution
-channel that emulates distorted observations, and document-frequency
-statistics (rarity scores and base masking probabilities derived from them),
-plus the text file formats, among them the one CSV writer.
+channel that emulates distorted observations -- one draw,
+``draw_substitution``, and one application, ``apply_substitution`` -- and
+document-frequency statistics (rarity scores and base masking probabilities
+derived from them), plus the text file formats, among them the one CSV
+writer.
 
 A corpus is a fixed-shape batch of token sequences: ``tokens`` is an
 ``(num_docs, seq_len)`` int64 array with ids in ``[0, vocab_size)``.
@@ -186,30 +188,14 @@ def generate_corpus(
     return Corpus(tokens=tokens, vocab_size=vocab_size, seed=seed)
 
 
-def substitute(
-    clean: np.ndarray,
-    vocab_size: int,
-    rate: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The substitution channel: replace each position independently with
-    probability ``rate`` by one of the other vocab_size-1 tokens, drawn
-    uniformly. Returns the output and the bool mask of substituted
-    positions, which are exactly the positions that changed. Rate 0 draws
-    nothing from ``rng``. The channel's draws (``draw_substitution``) and
-    their application (``apply_substitution``) can also run apart."""
-    clean = np.asarray(clean, dtype=np.int64)
-    return apply_substitution(clean, vocab_size, rate, draw_substitution(clean.shape[0], vocab_size, rate, rng))
-
-
 def draw_substitution(
     seq_len: int, vocab_size: int, rate: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The channel's draws for one sequence of ``seq_len`` positions: a
-    uniform per position, which substitutes it when below ``rate``, and an
-    offset in [1, V) per position. None at rate 0, which draws nothing.
-    Raises ``ValueError`` on a rate outside [0, 1], or above 0 with a vocab
-    below 2."""
+    """The substitution channel's draws for one sequence of ``seq_len``
+    positions: a uniform per position, which substitutes it when below
+    ``rate``, and an offset in [1, V) per position. None at rate 0, which
+    draws nothing. Raises ``ValueError`` on a rate outside [0, 1], or above
+    0 with a vocab below 2."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"substitution rate must be in [0,1], got {rate}")
     if rate == 0.0:
@@ -222,9 +208,10 @@ def draw_substitution(
 def apply_substitution(
     clean: np.ndarray, vocab_size: int, rate: float, draws: tuple[np.ndarray, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``substitute``'s output and substituted positions for ([B,] T)
-    ``clean`` and the draws of ``draw_substitution``, stacked to the shape
-    of ``clean`` for a batch (None at rate 0)."""
+    """The substitution channel on ([B,] T) ``clean`` with the draws of
+    ``draw_substitution``, stacked for a batch (None at rate 0): a drawn
+    position gets one of the other V-1 tokens. Returns the output and the
+    bool mask of substituted positions, exactly the positions that changed."""
     clean = np.asarray(clean, dtype=np.int64)
     if draws is None:
         return clean.copy(), np.zeros(clean.shape, dtype=bool)
@@ -237,8 +224,8 @@ def apply_substitution(
 
 
 def corrupt_sequence(clean: np.ndarray, vocab_size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """A distorted observation of ``clean``: the output of :func:`substitute`."""
-    return substitute(clean, vocab_size, rate, rng)[0]
+    """A distorted observation of the (T,) ``clean``, drawn from ``rng``."""
+    return apply_substitution(clean, vocab_size, rate, draw_substitution(len(clean), vocab_size, rate, rng))[0]
 
 
 def document_frequency(corpus: Corpus) -> FrequencyTable:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import one_blas_thread
-from .corpus import Corpus, substitute
+from .corpus import Corpus, apply_substitution, draw_substitution
 from .decoder import decode
 from .errors import NumericsError
 from .predictor import (
@@ -97,7 +97,7 @@ def corrupt_for_training(
     if not 0.0 < max_rate <= 1.0:
         raise ValueError(f"max_rate must be in (0, 1], got {max_rate}")
     u = float(rng.uniform(0.0, max_rate))
-    corrupted, hit = substitute(clean, vocab_size, u, rng)
+    corrupted, hit = apply_substitution(clean, vocab_size, u, draw_substitution(len(clean), vocab_size, u, rng))
     return corrupted, hit.astype(np.int8)
 
 

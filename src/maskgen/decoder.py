@@ -9,9 +9,10 @@ at least one position and decoding finishes in n_steps steps. A decode
 from a partly committed ``initial`` clamps the plan to the open count, so
 some of its steps commit nothing; at temperature 0 those steps run no
 forward pass, so a decode takes at most n_steps forward passes. In
-coarse-to-fine mode the stay-open priority of a position is additionally
-weighted by its rarity, so positions holding frequent tokens commit earlier
-and rare ones are refined last with the most visible context.
+coarse-to-fine mode one ``ctf_probabilities`` table over every step gives
+both the plan and a rarity weight on the stay-open priority of a position,
+so positions holding frequent tokens commit earlier and rare ones are
+refined last with the most visible context.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .predictor import ConditioningContext, PredictorModel, forward
-from .schedule import MaskMode, ScheduleConfig, ctf_probability_table, expected_masked_cosine
+from .schedule import MaskMode, ScheduleConfig, ctf_probabilities, expected_masked_cosine
 
 
 @dataclass
@@ -37,9 +38,9 @@ def plan_open_counts(sched: ScheduleConfig, seq_len: int, table: np.ndarray | No
     """Open-position targets per step: strictly decreasing from T to 0.
 
     Raw targets are the rounded expected masked counts: the uniform cosine,
-    or the row sums of ``table``, the ``ctf_probability_table`` of a CTF
-    decode. The repair pass pins both endpoints and enforces a strict
-    decrease so each step commits at least one position; this needs
+    or the row sums of ``table``, a CTF decode's ``ctf_probabilities`` at
+    steps 0..n_steps. The repair pass pins both endpoints and enforces a
+    strict decrease so each step commits at least one position; this needs
     n_steps <= seq_len.
     """
     n = sched.n_steps
@@ -116,7 +117,7 @@ def decode(
         if current.shape[0] != t:
             raise ValueError("initial sequence length does not match conditioning")
     open_idx = np.flatnonzero(current == mask_id)
-    table = ctf_probability_table(p_base, n) if sched.mode is MaskMode.CTF else None
+    table = ctf_probabilities(p_base, range(n + 1), n) if sched.mode is MaskMode.CTF else None
     plan = np.minimum(plan_open_counts(sched, t, table), open_idx.shape[0])
     trace: list[StepTrace] = []
     if open_idx.shape[0] == 0:

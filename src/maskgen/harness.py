@@ -1,24 +1,23 @@
 """Experiment orchestration: end-to-end runs, step-count ablations, paired
 masking-mode comparisons, and CSV emission.
 
-Configuration is a flat key-value text file (``key = value`` per line,
-``#`` comments). All randomness flows from the ``seed`` key: corpus, model
-initialization, masking draws, evaluation corruption, and the corrector all
-derive their streams from it, so a rerun with an identical config produces
-byte-identical CSV artifacts. ``start_run`` is the prologue of every run:
-it validates the config, creates the output directories and stamps every
-CSV with a config-hash comment line for exact reproduction.
+Configuration is a flat key-value UTF-8 text file (``key = value`` per
+line, ``#`` comments). All randomness flows from the ``seed`` key: corpus,
+model initialization, masking draws, evaluation corruption, and the
+corrector all derive their streams from it, so a rerun with an identical
+config produces byte-identical CSV artifacts. ``start_run`` is the prologue
+of every run: it validates the config, creates the output directories and
+stamps every CSV with a config-hash comment line for exact reproduction.
 
-``decode_all`` runs the one per-sequence inference loop, ``_decode_rows``,
-for ``evaluate`` and ``maskgen decode``. ``train_cells`` runs independent
-trainings: the two predictors and the corrector of every seed of
-``compare_masking_modes``. Both split their work into ``cpu_shards``,
-contiguous shards, one per CPU the process may run on (its
-``os.sched_getaffinity`` mask), and run every shard but the first in a
-child forked by ``fan_out``.
-The output is byte-identical for every number of shards; ``taskset -c 0``
-gives a one-process run. Forked children's CPU time and memory do not show
-in the parent's ``getrusage(RUSAGE_SELF)``.
+``decode_all`` is the one per-sequence inference loop, for ``evaluate`` and
+``maskgen decode``. ``train_cells`` runs independent trainings: the two
+predictors and the corrector of every seed of ``compare_masking_modes``.
+Both split their work into ``cpu_shards``, contiguous shards, one per CPU
+the process may run on (its ``os.sched_getaffinity`` mask), and run every
+shard but the first in a child forked by ``fan_out``. The output is
+byte-identical for every number of shards; ``taskset -c 0`` gives a
+one-process run. Forked children's CPU time and memory do not show in the
+parent's ``getrusage(RUSAGE_SELF)``.
 """
 
 from __future__ import annotations
@@ -148,10 +147,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The validated config of the UTF-8 text file ``path``."""
     if not os.path.exists(path):
         raise ConfigError("config", f"file not found: {path}")
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config", f"cannot read {path}: {exc}") from None
+    return parse_config(text)
 
 
 # per-key value rules (a lower bound holds for every entry of a tuple);
@@ -394,11 +398,14 @@ def decode_all(
     corrector: CorrectorModel | None, theta: float, rounds: int, refill: ScheduleConfig | None,
     temperature: float, rngs: Iterable[np.random.Generator], uncorrected: bool = False,
 ) -> tuple[np.ndarray, ...]:
-    """``_decode_rows`` over the rows of the (N, T) ``observations``, with
-    one generator per row from ``rngs``, spread over the CPUs of the
-    process's affinity mask: the (N, T) decoded tokens and the (N, n_steps,
-    2) traces, and with ``uncorrected`` also the (N, T) decodes before
-    correction.
+    """The one per-sequence inference loop over the rows of the (N, T)
+    ``observations``, with one generator per row from ``rngs``. Each
+    sequence is conditioned on its observation, given its rarity priors from
+    ``freq`` (CTF only), decoded at ``temperature``, and, with a corrector,
+    corrected with ``theta``, ``rounds`` and ``refill`` (see ``correct``).
+    Returns the (N, T) decoded tokens and the (N, n_steps, 2) trace rows
+    (open count, mean confidence) of every decode, and with ``uncorrected``
+    the (N, T) decodes before correction after them.
 
     The rows are split into ``cpu_shards``; ``fan_out`` decodes the first
     here and each other in a forked child, and the parts are joined in row
@@ -410,45 +417,24 @@ def decode_all(
     n = observations.shape[0]
     if len(rngs) != n:
         raise ValueError(f"{len(rngs)} generators for {n} rows")
-    parts = fan_out(
-        lambda rows: _decode_rows(
-            model, observations[rows], sched, freq, corrector, theta, rounds, refill, temperature, rngs[rows],
-            uncorrected,
-        ),
-        cpu_shards(n),
-    )
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
+    def decode_rows(rows: slice) -> tuple[np.ndarray, ...]:
+        decoded = np.empty_like(observations[rows])
+        traces = np.empty((decoded.shape[0], sched.n_steps, 2))
+        before = np.empty_like(decoded) if uncorrected else None
+        for j, (obs, rng) in enumerate(zip(observations[rows], rngs[rows], strict=True)):
+            ctx = build_conditioning(obs, model)
+            p_base = sequence_base_probabilities(freq, obs) if sched.mode is MaskMode.CTF else None
+            out, trace = decode(model, ctx, sched, rng=rng, temperature=temperature, p_base=p_base)
+            if before is not None:
+                before[j] = out
+            if corrector is not None:
+                out = correct(out, model, ctx, corrector, theta, rounds, refill=refill, p_base=p_base)
+            decoded[j] = out
+            traces[j] = [(row.open_count, row.mean_confidence) for row in trace]
+        return (decoded, traces) if before is None else (decoded, traces, before)
 
-def _decode_rows(
-    model: PredictorModel, observations: np.ndarray, sched: ScheduleConfig, freq: FrequencyTable | None,
-    corrector: CorrectorModel | None, theta: float, rounds: int, refill: ScheduleConfig | None,
-    temperature: float, rngs: list[np.random.Generator], uncorrected: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """The one per-sequence inference loop over the rows of the (N, T)
-    ``observations``, with one generator per row from ``rngs``.
-
-    Each sequence is conditioned on its observation, given its rarity
-    priors from ``freq`` (CTF only), decoded at ``temperature``, and, with a
-    corrector, corrected with ``theta``, ``rounds`` and ``refill`` (see
-    ``correct``). Returns the (N, T) decoded tokens and the (N, n_steps, 2)
-    trace rows (open count, mean confidence) of every decode, and with
-    ``uncorrected`` the (N, T) decodes before correction after them.
-    """
-    decoded = np.empty_like(observations)
-    traces = np.empty((observations.shape[0], sched.n_steps, 2))
-    before = np.empty_like(observations) if uncorrected else None
-    for j, (obs, rng) in enumerate(zip(observations, rngs, strict=True)):
-        ctx = build_conditioning(obs, model)
-        p_base = sequence_base_probabilities(freq, obs) if sched.mode is MaskMode.CTF else None
-        out, trace = decode(model, ctx, sched, rng=rng, temperature=temperature, p_base=p_base)
-        if before is not None:
-            before[j] = out
-        if corrector is not None:
-            out = correct(out, model, ctx, corrector, theta, rounds, refill=refill, p_base=p_base)
-        decoded[j] = out
-        traces[j] = [(row.open_count, row.mean_confidence) for row in trace]
-    return (decoded, traces) if before is None else (decoded, traces, before)
+    return tuple(np.concatenate(arrays) for arrays in zip(*fan_out(decode_rows, cpu_shards(n))))
 
 
 def evaluate(

@@ -19,15 +19,17 @@ unmasked positions contribute exactly zero gradient.
 ``build_conditioning``, ``forward``, ``masked_ce_loss``, ``window`` and
 ``window_adjoint`` take either one sequence ((T,) ids, (T, D) rows) or a
 batch with a leading axis ((B, T), (B, T, D)); one sequence is the B = 1
-case of the same code. Training runs each minibatch as one batched pass
-that reproduces per-example SGD bit for bit, and normalizes, scores and
-differentiates only the batch's masked rows. The matrix products run as
-``np.matmul`` over the stacked sequences, which makes for each sequence the
-same BLAS call that a single-sequence pass makes; a single product over all
-B*T rows would round differently when T is 1, where numpy switches from a
-matrix product to a vector product. Every sum that runs across examples
-(loss, output-weight, bias and embedding gradients) is taken per example
-and added in example order, the order the per-example loop used.
+case of the same code. ``masked_ce_loss`` takes only ``forward``'s
+prediction with ``positions=mask == 1``, so only masked rows are
+normalized, scored and differentiated. Training runs each minibatch as one
+batched pass that reproduces per-example SGD bit for bit. The matrix
+products run as ``np.matmul`` over the stacked sequences, which makes for
+each sequence the same BLAS call that a single-sequence pass makes; a
+single product over all B*T rows would round differently when T is 1,
+where numpy switches from a matrix product to a vector product. Every sum
+that runs across examples (loss, output-weight, bias and embedding
+gradients) is taken per example and added in example order, the order the
+per-example loop used.
 
 Training runs on one OpenBLAS thread and keeps the heap pages that each
 minibatch frees for the next one (see ``blas``).
@@ -101,17 +103,14 @@ class ConditioningContext:
 
 @dataclass
 class PredictionOutput:
+    """``forward``'s probabilities and what ``masked_ce_loss`` reads."""
+
     probs: np.ndarray  # ([B,] T, V), or the rows ``forward``'s positions pick; rows sum to 1
-    _cache: "_ForwardCache" = field(repr=False)
-
-
-@dataclass
-class _ForwardCache:
-    model: PredictorModel
-    masked: np.ndarray  # ([B,] T) input ids, mask token allowed
-    features: np.ndarray  # ([B,] T, F)
-    ctx: ConditioningContext
-    positions: np.ndarray | None  # the rows ``probs`` holds; None for every row
+    model: PredictorModel = field(repr=False)
+    masked: np.ndarray = field(repr=False)  # ([B,] T) input ids, mask token allowed
+    features: np.ndarray = field(repr=False)  # ([B,] T, F)
+    source_tokens: np.ndarray = field(repr=False)  # ([B,] T) the conditioning's tokens
+    positions: np.ndarray | None = field(repr=False)  # the rows ``probs`` holds; None for every row
 
 
 @dataclass
@@ -250,8 +249,7 @@ def forward(
     logits -= logits.max(axis=-1, keepdims=True)
     logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
     probs = np.exp(logits, out=logits)
-    cache = _ForwardCache(model=model, masked=masked, features=feats, ctx=ctx, positions=positions)
-    return PredictionOutput(probs=probs, _cache=cache)
+    return PredictionOutput(probs, model, masked, feats, ctx.source_tokens, positions)
 
 
 def masked_ce_loss(
@@ -266,39 +264,33 @@ def masked_ce_loss(
     the per-example gradients added in example order, so it equals the sum
     of B single-sequence calls bit for bit.
 
-    ``pred`` holds either every row or exactly the masked rows (``forward``
-    with ``positions=mask == 1``); only the masked rows are scored and
-    differentiated. ``grads.logits``, the gradient wrt the logits, is dense,
+    ``pred`` holds exactly the masked rows: it is ``forward``'s with
+    ``positions=mask == 1``, and any other prediction raises
+    ``ValueError``. ``grads.logits``, the gradient wrt the logits, is dense,
     with zero rows at unmasked positions, so the products with it are the
     ones a full pass makes. The prediction is spent: ``pred.probs`` becomes
-    the logit gradient (written over it when it holds every row), and the
-    gradient wrt the features is written over its cached features. Read
-    ``pred.probs`` before the call.
+    the logit gradient, and the gradient wrt the features is written over
+    its features. Read ``pred.probs`` before the call.
     """
     target = np.asarray(target, dtype=np.int64)
     mask = np.asarray(mask)
-    cache = pred._cache
-    model = cache.model
-    if cache.masked.shape != target.shape or mask.shape != target.shape:
+    model = pred.model
+    if pred.masked.shape != target.shape or mask.shape != target.shape:
         raise ValueError("target / mask / prediction shapes disagree")
     r, d, v, f = model.radius, model.dim, model.vocab_size, model.feature_dim
     t = target.shape[-1]
     # one sequence is a batch of one; these reshapes are views
-    feats = cache.features.reshape(-1, t, f)
+    feats = pred.features.reshape(-1, t, f)
     targets = target.reshape(-1, t)
     on = mask.reshape(-1, t) == 1
     nb = targets.shape[0]
+    picked = pred.positions
+    if picked is None or picked.dtype != bool or not np.array_equal(picked.reshape(-1, t), on):
+        raise ValueError("the prediction holds other rows than the masked ones")
     # probs: the (K, V) masked rows in row-major order; dlogits: the dense
     # logit gradient, zero until they are written back into it
-    if cache.positions is None:
-        dlogits = pred.probs.reshape(-1, t, v)
-        probs = dlogits[on]
-        dlogits[...] = 0.0
-    elif cache.positions.dtype == bool and np.array_equal(cache.positions.reshape(-1, t), on):
-        probs = pred.probs
-        dlogits = np.zeros((nb, t, v))
-    else:
-        raise ValueError("the prediction holds other rows than the masked ones")
+    probs = pred.probs
+    dlogits = np.zeros((nb, t, v))
 
     # each example's loss sums only its own masked rows, so an unmasked
     # position with an underflowed probability cannot poison it
@@ -331,7 +323,7 @@ def masked_ce_loss(
     # per example, one scatter of both routes' rows into flat (token, k)
     # bins: the order of np.add.at over the same rows
     g_e = np.zeros_like(model.embedding)
-    tokens = np.stack([cache.masked.reshape(-1, t), cache.ctx.source_tokens.reshape(-1, t)])
+    tokens = np.stack([pred.masked.reshape(-1, t), pred.source_tokens.reshape(-1, t)])
     cols = np.arange(d)
     for b in range(nb):
         bins = (tokens[:, b, :, None] * d + cols).ravel()
@@ -353,7 +345,7 @@ def example_loss(
     returned gradients include the conditioning route.
     """
     ctx = build_conditioning(distorted, model)
-    return masked_ce_loss(forward(model, masked, ctx), target, mask)
+    return masked_ce_loss(forward(model, masked, ctx, positions=np.asarray(mask) == 1), target, mask)
 
 
 def _sample_step(n_steps: int, rng: np.random.Generator) -> int:

@@ -77,22 +77,16 @@ def ctf_probabilities(p_base: np.ndarray, i: int | Sequence[int], n_steps: int) 
     Matches the cosine schedule's expected masked count in aggregate while
     keeping rare tokens (high p_base) masked longer than frequent ones.
     Uniform p_base collapses this to the plain cosine schedule. For a
-    (B, T) batch of p_base rows, ``i`` holds one step per row, and row b
-    equals bit for bit the call for row b and step ``i[b]`` alone.
+    sequence of steps ``i`` there is one row per step, of the one (T,)
+    p_base (``range(n_steps + 1)`` gives a decode's table) or of the
+    matching row of a (B, T) batch; row s equals bit for bit the call for
+    its row and step ``i[s]`` alone.
     """
     p_base = np.asarray(p_base, dtype=np.float64)
     t = p_base.shape[-1]
-    if p_base.ndim == 1:
+    if np.ndim(i) == 0:
         return scaled_clipped_probabilities(p_base, expected_masked_cosine(i, n_steps, t))
     return scaled_clipped_probabilities(p_base, np.array([[expected_masked_cosine(s, n_steps, t)] for s in i]))
-
-
-def ctf_probability_table(p_base: np.ndarray, n_steps: int) -> np.ndarray:
-    """(n_steps+1, T) table whose row i equals ``ctf_probabilities(p_base, i,
-    n_steps)`` bit for bit."""
-    t = np.shape(p_base)[0]
-    expected = np.array([[expected_masked_cosine(i, n_steps, t)] for i in range(n_steps + 1)])
-    return scaled_clipped_probabilities(p_base, expected)
 
 
 def sample_mask(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

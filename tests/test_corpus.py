@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from maskgen.corpus import (
     Corpus,
     FrequencyTable,
+    apply_substitution,
     corrupt_sequence,
     document_frequency,
+    draw_substitution,
     generate_corpus,
     load_corpus,
     load_frequency_csv,
@@ -26,7 +28,6 @@ from maskgen.corpus import (
     save_frequency_csv,
     sequence_base_probabilities,
     standardized_sigmoid,
-    substitute,
     write_csv,
     zipf_weights,
 )
@@ -156,7 +157,8 @@ class TestSubstitute:
     )
     def test_hit_marks_exactly_the_changed_positions(self, vocab_size, seq_len, rate, seed):
         clean = np.random.default_rng(seed).integers(0, vocab_size, size=seq_len)
-        out, hit = substitute(clean, vocab_size, rate, np.random.default_rng(seed))
+        draws = draw_substitution(seq_len, vocab_size, rate, np.random.default_rng(seed))
+        out, hit = apply_substitution(clean, vocab_size, rate, draws)
         assert hit.dtype == bool and out.shape == clean.shape
         np.testing.assert_array_equal(hit, out != clean)  # a substituted token never survives
         assert out.min(initial=0) >= 0 and out.max(initial=0) < vocab_size
@@ -164,12 +166,13 @@ class TestSubstitute:
             assert hit.all()
         if rate == 0.0:
             assert not hit.any()  # rate 0 copies the input
-        # both channels are this one: same draws, same output
+        # the observation channel is this one: same draws, same output
         np.testing.assert_array_equal(corrupt_sequence(clean, vocab_size, rate, np.random.default_rng(seed)), out)
-        # the corrector's training corruption is this channel at a rate it
-        # draws first from (0, max_rate]
+        # so is the corrector's training corruption, at a rate it draws first
+        # from (0, max_rate]
         rng = np.random.default_rng(seed)
-        drawn = substitute(clean, vocab_size, rng.uniform(0.0, 1.0), rng)
+        u = rng.uniform(0.0, 1.0)
+        drawn = apply_substitution(clean, vocab_size, u, draw_substitution(seq_len, vocab_size, u, rng))
         corrupted, labels = corrupt_for_training(clean, vocab_size, 1.0, np.random.default_rng(seed))
         np.testing.assert_array_equal(corrupted, drawn[0])
         np.testing.assert_array_equal(labels, drawn[1].astype(np.int8))

@@ -6,7 +6,10 @@ vectorized implementation is checked end to end against it.
 """
 
 import ast
+import importlib.util
+import inspect
 import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +27,6 @@ from maskgen.schedule import (
     MaskMode,
     ScheduleConfig,
     ctf_probabilities,
-    ctf_probability_table,
     scaled_clipped_probabilities,
 )
 
@@ -130,7 +132,7 @@ class TestPlanOpenCounts:
         rng = np.random.default_rng(1)
         p_base = rng.uniform(0.05, 0.95, size=24)
         sched = ScheduleConfig(n_steps=6, mode=MaskMode.CTF)
-        counts = plan_open_counts(sched, 24, ctf_probability_table(p_base, 6))
+        counts = plan_open_counts(sched, 24, ctf_probabilities(p_base, range(7), 6))
         for i in range(1, 6):
             e_cos = 24 * math.cos(0.5 * math.pi * i / 6)
             expected = float(scaled_clipped_probabilities(p_base, e_cos).sum())
@@ -153,7 +155,7 @@ class TestPlanOpenCounts:
             sched = ScheduleConfig(n_steps=n, mode=mode)
             # a subnormal p_base total overflows the scale to inf; the clip at 1 absorbs it
             with np.errstate(over="ignore"):
-                counts = plan_open_counts(sched, t, ctf_probability_table(p_base, n) if ctf else None)
+                counts = plan_open_counts(sched, t, ctf_probabilities(p_base, range(n + 1), n) if ctf else None)
             assert counts.shape == (n + 1,) and counts[0] == t and counts[-1] == 0
             assert (np.diff(counts) < 0).all(), (n, counts)
 
@@ -262,7 +264,7 @@ class TestDecode:
 
         with mock.patch.object(decoder_mod, "forward", recording_forward):
             out, _ = decode(model, build_conditioning(distorted, model), sched, p_base=p_base)
-        counts = plan_open_counts(sched, t, ctf_probability_table(p_base, n) if ctf else None)
+        counts = plan_open_counts(sched, t, ctf_probabilities(p_base, range(n + 1), n) if ctf else None)
         # from the fully masked start every step commits, so every step runs a pass
         assert len(inputs) == n
         states = inputs + [out]
@@ -413,15 +415,19 @@ class TestExactnessPins:
             assert np.array_equal(part, full[positions])
 
     def test_ctf_table_rows_equal_ctf_probabilities(self):
+        # the probabilities over a sequence of steps, a decode's whole table
+        # among them, hold row s the probabilities at step s bit for bit
         rng = np.random.default_rng(14)
         for _ in range(20):
             t = int(rng.integers(1, 120))
             n = int(rng.integers(1, 50))
             p_base = rng.uniform(1e-3, 1.0, size=t)
-            table = ctf_probability_table(p_base, n)
-            assert table.shape == (n + 1, t)
-            for i in range(n + 1):
-                assert np.array_equal(table[i], ctf_probabilities(p_base, i, n))
+            steps = [range(n + 1), rng.integers(0, n + 1, size=int(rng.integers(1, 8))).tolist()]
+            for seq in steps:
+                table = ctf_probabilities(p_base, seq, n)
+                assert table.shape == (len(seq), t)
+                for row, i in zip(table, seq):
+                    assert row.tobytes() == ctf_probabilities(p_base, i, n).tobytes()
 
     def test_ctf_plan_equals_plan_from_per_step_sums(self):
         rng = np.random.default_rng(17)
@@ -435,11 +441,13 @@ class TestExactnessPins:
             for i in range(n - 1, 0, -1):
                 expected[i] = max(expected[i + 1] + 1, min(raw[i], t - i))
             expected[0] = t
-            np.testing.assert_array_equal(plan_open_counts(sched, t, ctf_probability_table(p_base, n)), expected)
+            np.testing.assert_array_equal(plan_open_counts(sched, t, ctf_probabilities(p_base, range(n + 1), n)), expected)
 
     def test_ctf_table_rejects_bad_p_base(self):
-        with pytest.raises(ValueError):
-            ctf_probability_table(np.array([0.5, 0.0]), 3)
+        for p_base in ([0.5, 0.0], [0.5, 1.5], [0.5, -0.1]):
+            for steps in (range(4), 2):
+                with pytest.raises(ValueError, match=r"p_base values must lie in \(0, 1\]"):
+                    ctf_probabilities(np.array(p_base), steps, 3)
 
 
 class TestNonFinite:
@@ -525,10 +533,17 @@ def _functions_using(name):
 FORWARD_USERS = {("decoder", "decode"), ("predictor", "example_loss"), ("predictor", "_train_batch")}
 
 # The functions allowed to call ``decode``: the one per-sequence inference
-# loop, which ``decode_all`` runs on every shard of rows for ``evaluate`` and
-# ``maskgen decode``, and the corrector's refill. A second copy of the loop
-# would show up here.
-DECODE_USERS = {("harness", "_decode_rows"), ("corrector", "correct")}
+# loop, ``decode_all`` with the shard loop it hands to ``fan_out``, for
+# ``evaluate`` and ``maskgen decode``, and the corrector's refill. A second
+# copy of the loop would show up here.
+DECODE_USERS = {("harness", "decode_all"), ("harness", "decode_rows"), ("corrector", "correct")}
+
+# The functions allowed to draw or apply the substitution channel: the
+# observation channel, the corrector's training corruption and predictor
+# training. A second copy of the channel would show up here.
+SUBSTITUTION_USERS = {
+    ("corpus", "corrupt_sequence"), ("corrector", "corrupt_for_training"), ("predictor", "_train_batch"),
+}
 
 
 def test_only_decode_and_training_call_forward():
@@ -537,6 +552,11 @@ def test_only_decode_and_training_call_forward():
 
 def test_only_the_inference_loop_and_correct_call_decode():
     assert _functions_using("decode") == DECODE_USERS
+
+
+@pytest.mark.parametrize("name", ["draw_substitution", "apply_substitution"])
+def test_only_the_channel_users_substitute(name):
+    assert _functions_using(name) == SUBSTITUTION_USERS
 
 
 def test_only_the_fan_out_forks():
@@ -556,3 +576,25 @@ def test_only_blas_imports_ctypes():
             ):
                 importers.add(path.stem)
     assert importers == {"blas"}
+
+
+def test_the_benchmark_tracer_fits_the_program(monkeypatch):
+    # bench/tracing.py wraps program functions by name and its hooks read
+    # some arguments by position; a deletion or a moved parameter would
+    # otherwise surface only when a traced benchmark run starts
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    tracing.Tracer()  # patches nothing until it is made active
+    slots = {
+        ("maskgen.predictor", "train"): {"corpus": 0, "hyper": 3},
+        ("maskgen.predictor", "forward"): {"masked": 1},
+        ("maskgen.corrector", "correct"): {"decoded": 0},
+    }
+    for (module, attr), expected in slots.items():
+        params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
+        assert {name: params.index(name) for name in expected if name in params} == expected, (module, attr)

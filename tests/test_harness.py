@@ -7,6 +7,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from maskgen.harness import (
     parse_config,
     run_experiment,
     serialize_config,
+    validate_config,
 )
 from maskgen.predictor import build_conditioning, forward, init_model, load_predictor, save_predictor
 from maskgen.schedule import MaskMode, ScheduleConfig
@@ -83,6 +85,33 @@ class TestConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
+
+    # config-like text: a seed line or none, then lines over every key (and
+    # one unknown key) with values that parse or fail to parse
+    _config_text = st.tuples(
+        st.sampled_from(["", "seed = 3\n"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from([*_PARSERS, "nope"]),
+                st.one_of(st.integers(1, 8), st.integers(-2, 120), st.floats(), st.text(max_size=6)).map(str),
+            ),
+            max_size=4,
+        ),
+    ).map(lambda parts: (parts[0] + "".join(f"{key} = {value}\n" for key, value in parts[1])).encode())
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=64), _config_text, st.tuples(_config_text, st.binary()).map(b"".join)))
+    def test_any_file_bytes_give_a_config_or_a_config_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "any.cfg")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                return
+        assert isinstance(cfg, ExperimentConfig)
+        validate_config(cfg)
 
     @pytest.mark.parametrize(
         "text,field",
@@ -658,11 +687,13 @@ def test_every_config_key_flag_follows_the_config_schema():
     assert taken["dump-schedule"] == {"n_steps", "seq_len"}
 
 
-# {file} is a regular file and {dir} a directory, both made before the run
+# {file} is a regular file whose bytes are not UTF-8 and {dir} a directory,
+# both made before the run
 PATH_EXIT_CODES = {
     "eval_output_dir_is_a_file": ["eval", "--seed", "1", "--output-dir", "{file}"],
     "eval_output_dir_under_a_file": ["eval", "--seed", "1", "--output-dir", "{file}/sub"],
     "eval_config_is_a_directory": ["eval", "--config", "{dir}"],
+    "eval_config_is_not_utf8": ["eval", "--config", "{file}"],
     "train_model_out_under_a_file": ["train", "--seed", "1", "--output-dir", "{dir}/run", "--model-out", "{file}/m.bin"],
     "train_corrector_model_out_under_a_file": [
         "train-corrector", "--seed", "1", "--output-dir", "{dir}/run", "--model-out", "{file}/c.bin",
@@ -689,7 +720,7 @@ def test_unusable_path_exit_codes(tmp_path, capsys, monkeypatch, argv):
     for module, name in ((harness_mod, "train"), (harness_mod, "train_corrector"), (harness_mod, "generate_corpus"),
                          (corpus_mod, "generate_corpus")):
         monkeypatch.setattr(module, name, must_not_run)
-    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "file").write_bytes(b"seed = 1\n# not a directory \xff\n")
     (tmp_path / "dir").mkdir()
     argv = [a.format(file=tmp_path / "file", dir=tmp_path / "dir") for a in argv]
     assert cli_main(argv) == 2
@@ -786,14 +817,14 @@ class TestFanOut:
 
         self.cpus(monkeypatch, 1)  # every shard here, where the spy sees it
         shapes = []
-        real = harness_mod._decode_rows
+        real = harness_mod.decode_all
 
-        def spy(*args):
-            parts = real(*args)
+        def spy(*args, **kwargs):
+            parts = real(*args, **kwargs)
             shapes.append([part.shape for part in parts])
             return parts
 
-        monkeypatch.setattr(harness_mod, "_decode_rows", spy)
+        monkeypatch.setattr(harness_mod, "decode_all", spy)
         d = decode_inputs
         argv = ["decode", "--model", f"{d}/model.bin", "--input", f"{d}/obs.txt", "--out", str(tmp_path / "out.txt"),
                 "--corrector", f"{d}/corr.bin", "--n-steps", "4"]

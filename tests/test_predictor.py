@@ -195,7 +195,7 @@ class TestMaskedCeLoss:
         mask = np.array([1, 0, 1, 1, 0, 0], dtype=np.int8)
         masked = np.where(mask == 1, v, target)
         ctx = build_conditioning(target, model)
-        loss, _ = masked_ce_loss(forward(model, masked, ctx), target, mask)
+        loss, _ = masked_ce_loss(forward(model, masked, ctx, positions=mask == 1), target, mask)
         assert loss == pytest.approx(3 * math.log(v), rel=1e-12)
 
     def test_unmasked_logit_gradient_exactly_zero(self):

@@ -49,6 +49,34 @@ def test_scope_restores_the_count_when_the_body_raises(two_threads):
     assert two_threads() == 2
 
 
+def test_a_nested_scope_makes_no_openblas_call(monkeypatch):
+    # a call that sets the count restarts a pool thread a fork stopped, so
+    # only the outermost scope sets and restores it
+    for name in THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    count, calls = [2], []
+
+    def get():
+        calls.append("get")
+        return count[0]
+
+    def set_(n):
+        calls.append(("set", n))
+        count[0] = n
+
+    monkeypatch.setattr(blas, "_openblas", lambda: (get, set_))
+    with one_blas_thread():
+        assert calls == ["get", ("set", 1)]
+        with one_blas_thread():
+            with one_blas_thread():
+                assert count == [1]
+        assert calls == ["get", ("set", 1)]
+    assert calls == ["get", ("set", 1), ("set", 2)]
+    with one_blas_thread():  # the outer scope has ended: the next one sets the count again
+        pass
+    assert calls[3:] == ["get", ("set", 1), ("set", 2)]
+
+
 @needs_openblas
 def test_scope_leaves_a_user_set_count_alone():
     probe = (
