@@ -116,39 +116,6 @@ def _partner_involution(vocab_size: int, rng: np.random.Generator) -> np.ndarray
     return inv
 
 
-def _markov_sequence(
-    seq_len: int,
-    weights: np.ndarray,
-    partner: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One first-order sequence. Each step either restarts from the Zipf
-    marginal (prob 1-COUPLING) or makes a Metropolis move: propose the
-    fixed partner id, accept with min(1, w[partner]/w[cur]), else stay.
-    Detailed balance of the Metropolis kernel keeps the marginal exactly
-    Zipfian at every position."""
-    vocab_size = weights.shape[0]
-    # All randomness drawn up front in a fixed order so the sequence is a
-    # pure function of the stream state.
-    restarts = rng.choice(vocab_size, size=seq_len, p=weights)
-    use_chain = rng.random(seq_len) < COUPLING
-    accept_u = rng.random(seq_len)
-
-    out = np.empty(seq_len, dtype=np.int64)
-    out[0] = restarts[0]
-    for t in range(1, seq_len):
-        if use_chain[t]:
-            cur = out[t - 1]
-            cand = partner[cur]
-            if accept_u[t] * weights[cur] < weights[cand]:
-                out[t] = cand
-            else:
-                out[t] = cur
-        else:
-            out[t] = restarts[t]
-    return out
-
-
 def generate_corpus(
     vocab_size: int,
     num_docs: int,
@@ -161,7 +128,11 @@ def generate_corpus(
 
     markov_order 0 draws positions independently; order 1 adds a fixed
     random transition structure (seed-derived) that makes local context
-    predictive while preserving the Zipf marginal exactly.
+    predictive while preserving the Zipf marginal exactly: each step either
+    restarts from the Zipf marginal (prob 1-COUPLING) or makes a Metropolis
+    move, proposing the fixed partner id and accepting with
+    min(1, w[partner]/w[cur]), else staying. Detailed balance of the
+    Metropolis kernel keeps the marginal exactly Zipfian at every position.
     """
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
@@ -178,13 +149,25 @@ def generate_corpus(
     streams = np.random.SeedSequence(seed).spawn(num_docs + 1)
     partner = _partner_involution(vocab_size, np.random.default_rng(streams[0]))
 
+    # Each document draws from its stream in a fixed order: the restart
+    # tokens, then (order 1) whether each step follows the chain, then the
+    # acceptance uniforms. Its tokens start as the restarts.
     tokens = np.empty((num_docs, seq_len), dtype=np.int64)
+    use_chain = np.empty((num_docs, seq_len), dtype=bool)
+    accept_u = np.empty((num_docs, seq_len))
     for d in range(num_docs):
         rng = np.random.default_rng(streams[d + 1])
-        if markov_order == 0:
-            tokens[d] = rng.choice(vocab_size, size=seq_len, p=weights)
-        else:
-            tokens[d] = _markov_sequence(seq_len, weights, partner, rng)
+        tokens[d] = rng.choice(vocab_size, size=seq_len, p=weights)
+        if markov_order == 1:
+            use_chain[d] = rng.random(seq_len) < COUPLING
+            accept_u[d] = rng.random(seq_len)
+    if markov_order == 1:
+        # the chain runs over every document at once, one step at a time
+        for t in range(1, seq_len):
+            cur = tokens[:, t - 1]
+            cand = partner[cur]
+            moved = np.where(accept_u[:, t] * weights[cur] < weights[cand], cand, cur)
+            np.copyto(tokens[:, t], moved, where=use_chain[:, t])
     return Corpus(tokens=tokens, vocab_size=vocab_size, seed=seed)
 
 

@@ -13,10 +13,10 @@ stamps every CSV with a config-hash comment line for exact reproduction.
 ``maskgen decode``. ``train_cells`` runs independent trainings: the two
 predictors and the corrector of every seed of ``compare_masking_modes``.
 Both split their work into ``cpu_shards``, contiguous shards, one per CPU
-the process may run on (its ``os.sched_getaffinity`` mask), and run every
-shard but the first in a child forked by ``fan_out``. The output is
-byte-identical for every number of shards; ``taskset -c 0`` gives a
-one-process run. Forked children's CPU time and memory do not show in the
+the call may use (``cpus.usable_cpus``: the process's affinity mask, or one
+inside a ``fan_out`` job), and run every shard but the first in a child
+forked by ``fan_out``. The output is byte-identical for every number of
+shards; ``taskset -c 0`` gives a one-process run. Forked children's CPU time and memory do not show in the
 parent's ``getrusage(RUSAGE_SELF)``.
 """
 
@@ -45,6 +45,7 @@ from .corpus import (
     sequence_base_probabilities,
     write_csv,
 )
+from .cpus import fan_out_jobs, usable_cpus
 from .decoder import decode
 from .errors import ConfigError
 from .predictor import (
@@ -294,16 +295,11 @@ def edit_distance(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
 
 
 def cpu_shards(n: int) -> list[slice]:
-    """k = min(CPUs of the process's affinity mask, n) contiguous slices, at
-    least one, that cover ``range(n)`` in order."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = max(1, min(cpus, n))
+    """k = min(``usable_cpus()``, n) contiguous slices, at least one, that
+    cover ``range(n)`` in order."""
+    k = max(1, min(usable_cpus(), n))
     bounds = [n * i // k for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-# set while this process runs the jobs of a fan_out; a forked child inherits it
-_fanning_out = False
 
 
 def fan_out(work: Callable, jobs: Sequence) -> list:
@@ -313,9 +309,9 @@ def fan_out(work: Callable, jobs: Sequence) -> list:
     processes never run more than k threads.
 
     A fork copies only the calling thread, so while another Python thread
-    runs, every job runs here. So does every job of a fan_out nested in a
-    job of another, so k jobs never become k² processes. The results are
-    the same either way.
+    runs, every job runs here. So does every job when the call may use one
+    CPU (``usable_cpus``), which it may inside a job of another fan_out, so
+    k jobs never become k² processes. The results are the same either way.
 
     A child sends back its pickled result, or the exception it raised,
     through a pipe, and always leaves through ``os._exit``: it never runs
@@ -324,36 +320,34 @@ def fan_out(work: Callable, jobs: Sequence) -> list:
     job order is raised. A child that ends without a result raises
     ``ChildProcessError``.
     """
-    global _fanning_out
     children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
     payloads: list[bytes] = []
     with one_blas_thread():
-        if len(jobs) == 1 or _fanning_out or threading.active_count() > 1:
+        if len(jobs) == 1 or usable_cpus() == 1 or threading.active_count() > 1:
             return [work(job) for job in jobs]
-        _fanning_out = True
-        try:
-            for job in jobs[1:]:
-                read_fd, write_fd = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read_fd)
+        with fan_out_jobs():
+            try:
+                for job in jobs[1:]:
+                    read_fd, write_fd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        os.close(read_fd)
+                        os.close(write_fd)
+                        raise
+                    if pid == 0:
+                        _child(work, job, write_fd, [read_fd, *(fd for _, fd in children)])
                     os.close(write_fd)
-                    raise
-                if pid == 0:
-                    _child(work, job, write_fd, [read_fd, *(fd for _, fd in children)])
-                os.close(write_fd)
-                children.append((pid, read_fd))
-            results = [work(jobs[0])]
-            # a child blocks on a result larger than the pipe buffer until it is read
-            for _, fd in children:
-                with open(fd, "rb", closefd=False) as pipe:
-                    payloads.append(pipe.read())
-        finally:
-            _fanning_out = False
-            for _, fd in children:
-                os.close(fd)
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+                    children.append((pid, read_fd))
+                results = [work(jobs[0])]
+                # a child blocks on a result larger than the pipe buffer until it is read
+                for _, fd in children:
+                    with open(fd, "rb", closefd=False) as pipe:
+                        payloads.append(pipe.read())
+            finally:
+                for _, fd in children:
+                    os.close(fd)
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
     for (pid, _), code, payload in zip(children, codes, payloads, strict=True):
         if code != 0:
             raise ChildProcessError(f"worker process {pid} ended with exit code {code} and sent no result")

@@ -29,7 +29,18 @@ single product over all B*T rows would round differently when T is 1,
 where numpy switches from a matrix product to a vector product. Every sum
 that runs across examples (loss, output-weight, bias and embedding
 gradients) is taken per example and added in example order, the order the
-per-example loop used.
+per-example loop used. Each example's gradient is computed in one place,
+``_example_gradients``, which either adds it to the sum as it comes or
+keeps it in a row of its own.
+
+On two CPUs or more, training splits every minibatch with a helper
+process (``_Helper``): a fresh interpreter spawned from ``sys.executable``
+that imports this package. This process makes all of a minibatch's draws,
+in the order above, hands the helper the examples [h, n) and runs [0, h)
+itself, then adds the helper's per-example gradients to its own sum in
+example order and updates the model, which lives in memory the two
+processes share. While the helper runs, this process draws the next
+minibatch. The helper is not used inside a ``fan_out`` job (see ``cpus``).
 
 Training runs on one OpenBLAS thread and keeps the heap pages that each
 minibatch frees for the next one (see ``blas``).
@@ -38,13 +49,18 @@ minibatch frees for the next one (see ``blas``).
 from __future__ import annotations
 
 import math
+import os
 import struct
+import sys
+import time
 from dataclasses import dataclass, field
+from typing import Iterator, NoReturn
 
 import numpy as np
 
 from .blas import keep_freed_heap, one_blas_thread
 from .corpus import Corpus, FrequencyTable, apply_substitution, draw_substitution, sequence_base_probabilities
+from .cpus import usable_cpus
 from .errors import NumericsError
 from .schedule import (
     MaskMode,
@@ -261,8 +277,8 @@ def masked_ce_loss(
 
     For one sequence the loss is a float. For a (B, T) batch it is the (B,)
     array of per-example losses, and each parameter gradient is the sum of
-    the per-example gradients added in example order, so it equals the sum
-    of B single-sequence calls bit for bit.
+    the per-example gradients of ``_example_gradients`` added in example
+    order, so it equals the sum of B single-sequence calls bit for bit.
 
     ``pred`` holds exactly the masked rows: it is ``forward``'s with
     ``positions=mask == 1``, and any other prediction raises
@@ -272,6 +288,19 @@ def masked_ce_loss(
     the logit gradient, and the gradient wrt the features is written over
     its features. Read ``pred.probs`` before the call.
     """
+    losses, grads = _example_gradients(pred, target, mask)
+    return (float(losses[0]) if np.ndim(target) == 1 else losses), grads
+
+
+def _example_gradients(
+    pred: PredictionOutput, target: np.ndarray, mask: np.ndarray, per_example: PredictorGradients | None = None
+) -> tuple[np.ndarray, PredictorGradients]:
+    """The (B,) per-example losses of ``masked_ce_loss`` and the gradient:
+    each example's own gradient of each block is computed here, once, and
+    either added to the sum as it comes, in example order, or, with
+    ``per_example``, written to row b of its (B', ...) blocks, B' >= B. The
+    returned gradient's ``logits`` is the dense logit gradient. The
+    prediction is spent as in ``masked_ce_loss``."""
     target = np.asarray(target, dtype=np.int64)
     mask = np.asarray(mask)
     model = pred.model
@@ -287,6 +316,21 @@ def masked_ce_loss(
     picked = pred.positions
     if picked is None or picked.dtype != bool or not np.array_equal(picked.reshape(-1, t), on):
         raise ValueError("the prediction holds other rows than the masked ones")
+    summed = per_example is None
+    if summed:
+        grads = PredictorGradients(
+            embedding=np.zeros_like(model.embedding), out_w=np.zeros_like(model.out_w),
+            out_b=np.zeros_like(model.out_b), logits=None,
+        )
+    else:
+        grads = per_example
+
+    def keep(block: np.ndarray, b: int, term: np.ndarray) -> None:
+        if summed:
+            block += term
+        else:
+            block[b] = term
+
     # probs: the (K, V) masked rows in row-major order; dlogits: the dense
     # logit gradient, zero until they are written back into it
     probs = pred.probs
@@ -304,14 +348,13 @@ def masked_ce_loss(
     probs[hit] -= 1.0
     dlogits[on] = probs
     # the prediction's own rows are spent: free them before the backward pass
-    pred.probs = dlogits.reshape(target.shape + (v,))
+    pred.probs = grads.logits = dlogits.reshape(target.shape + (v,))
     del probs
 
-    g_w = np.zeros_like(model.out_w)
-    g_b = np.zeros_like(model.out_b)
+    bias_terms = dlogits.sum(axis=1)
     for b in range(nb):
-        g_w += feats[b].T @ dlogits[b]
-        g_b += dlogits[b].sum(axis=0)
+        keep(grads.out_w, b, feats[b].T @ dlogits[b])
+        keep(grads.out_b, b, bias_terms[b])
 
     dfeats = np.matmul(dlogits, model.out_w.T, out=feats)  # the features are spent
     # the input-route rows of every example, then its conditioning-route rows
@@ -322,14 +365,22 @@ def masked_ce_loss(
 
     # per example, one scatter of both routes' rows into flat (token, k)
     # bins: the order of np.add.at over the same rows
-    g_e = np.zeros_like(model.embedding)
+    size = model.embedding.size
     tokens = np.stack([pred.masked.reshape(-1, t), pred.source_tokens.reshape(-1, t)])
     cols = np.arange(d)
     for b in range(nb):
         bins = (tokens[:, b, :, None] * d + cols).ravel()
-        g_e += np.bincount(bins, weights=rows[:, b].ravel(), minlength=g_e.size).reshape(g_e.shape)
-    loss = float(losses[0]) if target.ndim == 1 else losses
-    return loss, PredictorGradients(embedding=g_e, out_w=g_w, out_b=g_b, logits=pred.probs)
+        keep(grads.embedding, b, np.bincount(bins, weights=rows[:, b].ravel(), minlength=size).reshape(-1, d))
+    return losses, grads
+
+
+def _add_examples(total: PredictorGradients, terms: PredictorGradients, count: int) -> None:
+    """Add the gradients of the first ``count`` examples of ``terms``, one
+    per row, to ``total``, one example after the other."""
+    for b in range(count):
+        total.embedding += terms.embedding[b]
+        total.out_w += terms.out_w[b]
+        total.out_b += terms.out_b[b]
 
 
 def example_loss(
@@ -357,8 +408,47 @@ def _sample_step(n_steps: int, rng: np.random.Generator) -> int:
     return int(rng.integers(1, n_steps))
 
 
-def _train_batch(
-    model: PredictorModel,
+def _batch_pass(
+    model: PredictorModel, clean: np.ndarray, distorted: np.ndarray, m: np.ndarray,
+    terms: PredictorGradients | None = None,
+) -> tuple[np.ndarray, int, PredictorGradients]:
+    """Conditioning, forward and backward passes over the (B, T) clean
+    tokens, distorted observations and masks of B examples, on their masked
+    rows only. Returns the (B,) losses, the count of masked positions
+    predicted right and the gradient: summed in example order, or with
+    ``terms`` each example's own, written into its rows (see
+    ``_example_gradients``)."""
+    on = m == 1
+    ctx = build_conditioning(distorted, model)
+    pred = forward(model, apply_mask(clean, m, model.mask_token_id), ctx, positions=on)
+    n_correct = int((pred.probs.argmax(axis=-1) == clean[on]).sum())
+    if terms is None:
+        losses, grads = masked_ce_loss(pred, clean, m)
+    else:
+        losses, grads = _example_gradients(pred, clean, m, per_example=terms)
+    return losses, n_correct, grads
+
+
+def _caller_share(n: int) -> int:
+    """h: with a helper, the caller runs the examples [0, h) of a minibatch
+    of n and the helper [h, n); h = n leaves the helper out."""
+    return max(1, n // 2)
+
+
+@dataclass
+class _Minibatch:
+    """The inputs of one SGD step: its epoch, documents ``idx``, schedule
+    steps, and (n, T) clean tokens, distorted observations and int8 mask."""
+
+    epoch: int
+    idx: np.ndarray
+    steps: list[int]
+    clean: np.ndarray
+    distorted: np.ndarray
+    mask: np.ndarray
+
+
+def _draw_batch(
     corpus: Corpus,
     priors: np.ndarray | None,
     sched: ScheduleConfig,
@@ -366,17 +456,14 @@ def _train_batch(
     idx: np.ndarray,
     rng: np.random.Generator,
     epoch: int,
-) -> tuple[list[float], int, int]:
-    """One SGD step on the documents ``idx``, with ``priors`` the (N, T)
-    rarity priors of every document (CTF only). Returns the per-example
-    losses, the masked count and the count of masked positions predicted
-    right.
+) -> _Minibatch:
+    """The inputs of the SGD step on the documents ``idx``, with ``priors``
+    the (N, T) rarity priors of every document (CTF only).
 
     Each example makes the generator calls of the per-example loop, in its
     order: the channel's draws, the schedule step, the mask's uniforms. The
     channel, the masking probabilities and the mask are then applied once
-    to the whole batch, and the forward and backward passes run once over
-    it, on its masked rows only.
+    to the whole batch. Nothing here reads the model.
     """
     v, t, n = corpus.vocab_size, corpus.seq_len, len(idx)
     channel, steps, uniforms = [], [], np.empty((n, t))
@@ -391,23 +478,239 @@ def _train_batch(
         probs = ctf_probabilities(priors[idx], steps, sched.n_steps)
     else:
         probs = np.array([[cosine_probability(step, sched.n_steps)] for step in steps])
-    m = threshold_mask(probs, uniforms)
-    on = m == 1
-    ctx = build_conditioning(distorted, model)
-    pred = forward(model, apply_mask(clean, m, model.mask_token_id), ctx, positions=on)
-    n_correct = int((pred.probs.argmax(axis=-1) == clean[on]).sum())
-    losses, grads = masked_ce_loss(pred, clean, m)
+    return _Minibatch(epoch, idx, steps, clean, distorted, threshold_mask(probs, uniforms))
+
+
+def _minibatches(
+    corpus: Corpus, priors: np.ndarray | None, sched: ScheduleConfig, hyper: TrainConfig, rng: np.random.Generator
+) -> Iterator[_Minibatch]:
+    """Every minibatch of training in order: per epoch a permutation of the
+    documents, cut into batches of ``hyper.batch``."""
+    n = corpus.num_docs
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hyper.batch):
+            yield _draw_batch(corpus, priors, sched, hyper, order[start : start + hyper.batch], rng, epoch)
+
+
+def _start_batch(
+    model: PredictorModel, batch: _Minibatch, helper: _Helper | None = None
+) -> tuple[int, np.ndarray, int, PredictorGradients]:
+    """Hand a ``helper`` the examples [h, n) of ``batch`` and run [0, h)
+    here; without a helper h = n. Returns h and the losses, the count of
+    masked positions predicted right and the example-order gradient sum of
+    [0, h)."""
+    n = len(batch.idx)
+    h = n if helper is None else _caller_share(n)
+    if h < n:
+        helper.submit(batch.clean[h:], batch.distorted[h:], batch.mask[h:])
+    return (h, *_batch_pass(model, batch.clean[:h], batch.distorted[:h], batch.mask[:h]))
+
+
+def _finish_batch(
+    model: PredictorModel,
+    batch: _Minibatch,
+    started: tuple[int, np.ndarray, int, PredictorGradients],
+    lr: float,
+    helper: _Helper | None = None,
+) -> tuple[list[float], int, int]:
+    """Add the helper's examples [h, n) to what ``_start_batch`` returned,
+    in example order, check every loss and take the SGD step: the summed
+    gradient times ``lr`` over the batch's masked count. Returns the
+    per-example losses, the masked count and the count of masked positions
+    predicted right."""
+    h, losses, n_correct, grads = started
+    n = len(batch.idx)
+    if h < n:
+        tail_losses, tail_correct, terms = helper.collect()
+        losses = np.concatenate([losses, tail_losses])
+        n_correct += tail_correct
+        _add_examples(grads, terms, n - h)
     losses = losses.tolist()
     for b, loss in enumerate(losses):
         if not math.isfinite(loss):
-            raise NumericsError(f"non-finite loss {loss} at epoch {epoch}, document {idx[b]}, step {steps[b]}")
-    n_masked = int(on.sum())
+            raise NumericsError(
+                f"non-finite loss {loss} at epoch {batch.epoch}, document {batch.idx[b]}, step {batch.steps[b]}"
+            )
+    n_masked = int(np.count_nonzero(batch.mask))
     if n_masked > 0:
-        scale = hyper.lr / n_masked
+        scale = lr / n_masked
         model.embedding -= scale * grads.embedding
         model.out_w -= scale * grads.out_w
         model.out_b -= scale * grads.out_b
     return losses, n_masked, n_correct
+
+
+# how long a side of training polls its pipe before it sleeps on it: the other
+# side answers within a fraction of a minibatch, and waking a sleeping
+# process took about 0.1 ms per handoff on a 2-vCPU virtual machine
+_POLL_S = 0.001
+
+
+def _next_byte(fd: int) -> bytes:
+    """One byte from the pipe ``fd``, or b"" at its end; polls for up to
+    ``_POLL_S`` before it blocks."""
+    import select
+
+    deadline = time.perf_counter() + _POLL_S
+    while not select.select([fd], [], [], 0)[0] and time.perf_counter() < deadline:
+        pass
+    return os.read(fd, 1)
+
+
+# the helper's program: eight integer arguments, then the module search path,
+# the caller's with its package's root first
+_HELPER_CODE = (
+    "import sys; sys.path[:] = sys.argv[9:]; "
+    "from maskgen.predictor import _run_helper; _run_helper(*map(int, sys.argv[1:9]))"
+)
+
+
+def _shared_arrays(buffer, v: int, d: int, r: int, t: int, slots: int) -> tuple[dict[str, np.ndarray], int]:
+    """The arrays the caller and the helper share, laid out one after the
+    other in ``buffer`` at multiples of 64 bytes, and the bytes they span;
+    with ``buffer`` None only the bytes. They are the model (V, D, r), the
+    helper's inputs for up to ``slots`` sequences of length ``t``, its
+    per-example losses and gradients, its example count and its count of
+    masked positions predicted right."""
+    f = d * (2 * r + 1)
+    specs = [
+        ("embedding", np.float64, (v + 1, d)), ("out_w", np.float64, (f, v)), ("out_b", np.float64, (v,)),
+        ("clean", np.int64, (slots, t)), ("distorted", np.int64, (slots, t)), ("mask", np.int8, (slots, t)),
+        ("losses", np.float64, (slots,)), ("g_e", np.float64, (slots, v + 1, d)),
+        ("g_w", np.float64, (slots, f, v)), ("g_b", np.float64, (slots, v)),
+        ("count", np.int64, ()), ("correct", np.int64, ()),
+    ]
+    arrays, size = {}, 0
+    for name, dtype, shape in specs:
+        if buffer is not None:
+            arrays[name] = np.ndarray(shape, dtype, buffer=buffer, offset=size)
+        size += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+    return arrays, size
+
+
+class _Helper:
+    """A second Python interpreter that runs the examples [h, n) of each
+    minibatch of ``train`` (see ``_start_batch`` and ``_finish_batch``).
+
+    It is spawned, not forked, from ``sys.executable`` and imports the
+    caller's own ``maskgen`` and numpy: its module search path is the
+    caller's, with the caller's package root first. The model, the
+    helper's inputs and its per-example outputs live in one memory file
+    that both processes map; a go pipe carries one byte per minibatch to
+    the helper and a done pipe one byte back, after a first byte that says
+    the helper is ready. Each side waits for a byte with ``_next_byte``.
+    ``model`` is the model in the shared map, which the caller trains in
+    place.
+    """
+
+    def __init__(self, model: PredictorModel, seq_len: int, slots: int) -> None:
+        import mmap
+        import subprocess
+
+        shape = (model.vocab_size, model.dim, model.radius, seq_len, slots)
+        opened: list[int] = []
+        keep: list[int] = []  # the caller's pipe ends, once the helper runs
+        try:
+            map_fd = os.memfd_create("maskgen-train")
+            opened.append(map_fd)
+            go_read, go_write = os.pipe()
+            opened += [go_read, go_write]
+            done_read, done_write = os.pipe()
+            opened += [done_read, done_write]
+            size = _shared_arrays(None, *shape)[1]
+            os.ftruncate(map_fd, size)
+            self._shared = sh = _shared_arrays(mmap.mmap(map_fd, size), *shape)[0]
+            self.model = PredictorModel(sh["embedding"], sh["out_w"], sh["out_b"], model.radius)
+            self.model.embedding[...] = model.embedding
+            self.model.out_w[...] = model.out_w
+            self.model.out_b[...] = model.out_b
+            self._terms = PredictorGradients(sh["g_e"], sh["g_w"], sh["g_b"], logits=None)
+            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            args = [map_fd, go_read, done_write, *shape]
+            # -E -S: no PYTHON* variables and no site module, so the helper
+            # imports from exactly the caller's path
+            self.proc = subprocess.Popen(
+                [sys.executable, "-E", "-S", "-c", _HELPER_CODE, *map(str, args), root, *sys.path],
+                stdin=subprocess.DEVNULL, pass_fds=(map_fd, go_read, done_write),
+            )
+            self._go, self._done = keep = [go_write, done_read]
+        finally:
+            for fd in opened:
+                if fd not in keep:
+                    os.close(fd)
+        self._ready = False
+
+    def ready(self, wait: bool = False) -> bool:
+        """Whether the helper has reported ready; with ``wait``, wait until
+        it does."""
+        import select
+
+        if not self._ready and (wait or select.select([self._done], [], [], 0)[0]):
+            self._receive()
+            self._ready = True
+        return self._ready
+
+    def submit(self, clean: np.ndarray, distorted: np.ndarray, m: np.ndarray) -> None:
+        """Hand the helper the clean tokens, observations and masks of its
+        examples, and start it on them."""
+        k = clean.shape[0]
+        sh = self._shared
+        sh["clean"][:k], sh["distorted"][:k], sh["mask"][:k] = clean, distorted, m
+        sh["count"][...] = k
+        try:
+            os.write(self._go, b"\0")
+        except BrokenPipeError:
+            self._ended()
+
+    def collect(self) -> tuple[np.ndarray, int, PredictorGradients]:
+        """Wait for the helper; then its examples' losses, their count of
+        masked positions predicted right and their gradients, one example
+        per row."""
+        self._receive()
+        k = int(self._shared["count"])
+        return self._shared["losses"][:k].copy(), int(self._shared["correct"]), self._terms
+
+    def close(self) -> None:
+        """Kill the helper, whatever it is doing, and reap it."""
+        self.proc.kill()
+        self.proc.wait()
+        os.close(self._go)
+        os.close(self._done)
+
+    def _receive(self) -> None:
+        if not _next_byte(self._done):
+            self._ended()
+
+    def _ended(self) -> NoReturn:
+        code = self.proc.wait()
+        raise ChildProcessError(f"training helper {self.proc.pid} ended with exit code {code}")
+
+
+def _run_helper(map_fd: int, go_fd: int, done_fd: int, v: int, d: int, r: int, t: int, slots: int) -> None:
+    """The helper's side of ``train``: map the shared arrays, report ready,
+    then for each go byte run the examples the caller left there and report
+    done. Ends when the caller closes the go pipe or kills the process.
+
+    Floating-point warnings are off here: a non-finite loss reaches the
+    caller, which raises ``NumericsError`` for it."""
+    import mmap
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's: it kills this process
+    keep_freed_heap()
+    size = _shared_arrays(None, v, d, r, t, slots)[1]
+    sh = _shared_arrays(mmap.mmap(map_fd, size), v, d, r, t, slots)[0]
+    model = PredictorModel(sh["embedding"], sh["out_w"], sh["out_b"], r)
+    terms = PredictorGradients(sh["g_e"], sh["g_w"], sh["g_b"], logits=None)
+    with one_blas_thread(), np.errstate(all="ignore"):
+        os.write(done_fd, b"\0")
+        while _next_byte(go_fd):
+            k = int(sh["count"])
+            sh["losses"][:k], sh["correct"][...], _ = _batch_pass(
+                model, sh["clean"][:k], sh["distorted"][:k], sh["mask"][:k], terms
+            )
+            os.write(done_fd, b"\0")
 
 
 @one_blas_thread()
@@ -423,40 +726,61 @@ def train(
     schedule step, compute masking probabilities (uniform cosine or
     coarse-to-fine), sample and apply the mask, accumulate gradients. The
     update divides the summed gradient by the batch's masked-token count.
-    Each minibatch runs as one batched pass (see ``_train_batch``), bit for
-    bit the same as accumulating example by example. A document's
+    Each minibatch runs as one batched pass (see ``_draw_batch`` and
+    ``_batch_pass``), bit for bit the same as accumulating example by
+    example. A document's
     coarse-to-fine rarity priors do not depend on the epoch, so they are
     built once per document. Deterministic for a fixed seed; runs on one
     OpenBLAS thread and sets the process's heap to keep freed pages (see
     ``blas``).
+
+    When the call may use two CPUs or more (``cpus.usable_cpus``) and a
+    minibatch can hold two examples, a helper process (``_Helper``) starts
+    and, once it has reported ready, runs the second half of every
+    minibatch; until then this process runs whole minibatches. The result
+    is the same bit for bit. The helper is killed and reaped when training
+    ends, on every path.
     """
     keep_freed_heap()
-    priors = None
-    if sched.mode is MaskMode.CTF:
-        priors = np.empty(corpus.tokens.shape)
-        for j, doc in enumerate(corpus.tokens):
-            priors[j] = sequence_base_probabilities(freq, doc)
     rng = np.random.default_rng(hyper.seed)
     model = init_model(corpus.vocab_size, hyper.dim, hyper.radius, rng)
     n = corpus.num_docs
+    widest = min(hyper.batch, n)
+    helper = None
+    if usable_cpus() > 1 and hyper.epochs > 0 and widest > 1 and sys.executable:
+        helper = _Helper(model, corpus.seq_len, widest - _caller_share(widest))
+        model = helper.model
     history: list[EpochStats] = []
-
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        epoch_masked = 0
-        epoch_correct = 0
-        for start in range(0, n, hyper.batch):
-            losses, n_masked, n_correct = _train_batch(
-                model, corpus, priors, sched, hyper, order[start : start + hyper.batch], rng, epoch
-            )
-            for loss in losses:  # example order, as the per-example loop added them
-                epoch_loss += loss
-            epoch_masked += n_masked
-            epoch_correct += n_correct
-        per_token = epoch_loss / epoch_masked if epoch_masked else 0.0
-        acc = epoch_correct / epoch_masked if epoch_masked else 0.0
-        history.append(EpochStats(epoch=epoch, loss_sum=epoch_loss, loss_per_token=per_token, masked_acc=acc))
+    try:
+        priors = None
+        if sched.mode is MaskMode.CTF:
+            priors = np.empty(corpus.tokens.shape)
+            for j, doc in enumerate(corpus.tokens):
+                priors[j] = sequence_base_probabilities(freq, doc)
+        batches = _minibatches(corpus, priors, sched, hyper, rng)
+        upcoming = next(batches, None)
+        for epoch in range(hyper.epochs):
+            epoch_loss = 0.0
+            epoch_masked = 0
+            epoch_correct = 0
+            for _ in range(0, n, hyper.batch):
+                batch = upcoming
+                started = _start_batch(model, batch, helper if helper is not None and helper.ready() else None)
+                upcoming = next(batches, None)  # drawn while the helper runs its part of this batch
+                losses, n_masked, n_correct = _finish_batch(model, batch, started, hyper.lr, helper)
+                del started  # this batch's gradients, freed before the next pass
+                for loss in losses:  # example order, as the per-example loop added them
+                    epoch_loss += loss
+                epoch_masked += n_masked
+                epoch_correct += n_correct
+            per_token = epoch_loss / epoch_masked if epoch_masked else 0.0
+            acc = epoch_correct / epoch_masked if epoch_masked else 0.0
+            history.append(EpochStats(epoch=epoch, loss_sum=epoch_loss, loss_per_token=per_token, masked_acc=acc))
+    finally:
+        if helper is not None:
+            helper.close()
+    if helper is not None:  # out of the shared map, which goes with the helper
+        model = PredictorModel(model.embedding.copy(), model.out_w.copy(), model.out_b.copy(), model.radius)
     return model, history
 
 

@@ -1,8 +1,9 @@
-"""Shared test utilities: parameter flattening, finite differences and
-rank-based AUC."""
+"""Shared test utilities: parameter flattening, finite differences,
+rank-based AUC and the per-document reference of corpus generation."""
 
 import numpy as np
 
+from maskgen.corpus import COUPLING, _partner_involution, zipf_weights
 from maskgen.corrector import CorrectorModel
 from maskgen.predictor import PredictorGradients, PredictorModel
 
@@ -59,3 +60,38 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     mean_rank = (cum - counts + 1 + cum) / 2.0
     ranks = mean_rank[inverse]
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _reference_markov_sequence(seq_len, weights, partner, rng):
+    """One first-order sequence, one step at a time: all draws up front
+    (restarts, chain flags, acceptance uniforms), then per step either the
+    restart or a Metropolis move to the partner id."""
+    restarts = rng.choice(weights.shape[0], size=seq_len, p=weights)
+    use_chain = rng.random(seq_len) < COUPLING
+    accept_u = rng.random(seq_len)
+    out = np.empty(seq_len, dtype=np.int64)
+    out[0] = restarts[0]
+    for t in range(1, seq_len):
+        if use_chain[t]:
+            cur = out[t - 1]
+            cand = partner[cur]
+            out[t] = cand if accept_u[t] * weights[cur] < weights[cand] else cur
+        else:
+            out[t] = restarts[t]
+    return out
+
+
+def reference_corpus_tokens(vocab_size, num_docs, seq_len, zipf_exponent, markov_order, seed):
+    """The tokens ``generate_corpus`` makes, generated one document at a
+    time from the same streams."""
+    weights = zipf_weights(vocab_size, zipf_exponent)
+    streams = np.random.SeedSequence(seed).spawn(num_docs + 1)
+    partner = _partner_involution(vocab_size, np.random.default_rng(streams[0]))
+    tokens = np.empty((num_docs, seq_len), dtype=np.int64)
+    for d in range(num_docs):
+        rng = np.random.default_rng(streams[d + 1])
+        if markov_order == 0:
+            tokens[d] = rng.choice(vocab_size, size=seq_len, p=weights)
+        else:
+            tokens[d] = _reference_markov_sequence(seq_len, weights, partner, rng)
+    return tokens

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import reference_corpus_tokens
 
 from maskgen.corpus import (
     Corpus,
@@ -84,6 +85,27 @@ class TestGenerateCorpus:
         repeat = (corpus.tokens[:, 1:] == corpus.tokens[:, :-1]).mean()
         iid_collision = (zipf_weights(64, 1.2) ** 2).sum()
         assert repeat > 3 * iid_collision
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        vocab_size=st.integers(2, 70),
+        num_docs=st.integers(1, 40),
+        seq_len=st.integers(1, 40),
+        zipf_exponent=st.sampled_from([0.0, 0.5, 1.2, 1.5, 2.0]),
+        markov_order=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(vocab_size=64, num_docs=672, seq_len=96, zipf_exponent=1.2, markov_order=1, seed=5)
+    @example(vocab_size=7, num_docs=30, seq_len=1, zipf_exponent=0.0, markov_order=1, seed=0)
+    @example(vocab_size=2, num_docs=10, seq_len=50, zipf_exponent=0.5, markov_order=1, seed=3)
+    def test_matches_the_per_document_reference(
+        self, vocab_size, num_docs, seq_len, zipf_exponent, markov_order, seed
+    ):
+        # the chain runs over all documents at once; each document's tokens
+        # are those of its own stream run one step at a time
+        corpus = generate_corpus(vocab_size, num_docs, seq_len, zipf_exponent, markov_order, seed)
+        expected = reference_corpus_tokens(vocab_size, num_docs, seq_len, zipf_exponent, markov_order, seed)
+        assert corpus.tokens.dtype == expected.dtype and corpus.tokens.tobytes() == expected.tobytes()
 
     def test_all_ids_in_range(self):
         corpus = generate_corpus(16, 50, 32, 1.0, 1, seed=1)

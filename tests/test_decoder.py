@@ -530,7 +530,7 @@ def _functions_using(name):
 # The functions allowed to use the predictor's ``forward``: ``decode``, which
 # fills every masked position (a corrector refill included), and the
 # training objective.
-FORWARD_USERS = {("decoder", "decode"), ("predictor", "example_loss"), ("predictor", "_train_batch")}
+FORWARD_USERS = {("decoder", "decode"), ("predictor", "example_loss"), ("predictor", "_batch_pass")}
 
 # The functions allowed to call ``decode``: the one per-sequence inference
 # loop, ``decode_all`` with the shard loop it hands to ``fan_out``, for
@@ -542,7 +542,7 @@ DECODE_USERS = {("harness", "decode_all"), ("harness", "decode_rows"), ("correct
 # observation channel, the corrector's training corruption and predictor
 # training. A second copy of the channel would show up here.
 SUBSTITUTION_USERS = {
-    ("corpus", "corrupt_sequence"), ("corrector", "corrupt_for_training"), ("predictor", "_train_batch"),
+    ("corpus", "corrupt_sequence"), ("corrector", "corrupt_for_training"), ("predictor", "_draw_batch"),
 }
 
 

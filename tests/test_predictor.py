@@ -25,7 +25,9 @@ from maskgen.predictor import (
     CHECKPOINT_VERSION,
     PredictorModel,
     TrainConfig,
-    _train_batch,
+    _draw_batch,
+    _finish_batch,
+    _start_batch,
     build_conditioning,
     example_loss,
     forward,
@@ -311,8 +313,9 @@ class TestTrain:
         draws = [(int(replay.integers(1, 10)), replay.random(8)) for _ in idx]
         step, uniforms = draws[1]
         assert (uniforms < math.cos(0.5 * math.pi * step / 10)).any()  # document 5 has a masked position
+        batch = _draw_batch(corpus, None, sched, hyper, idx, np.random.default_rng(22), epoch=4)
         with np.errstate(all="ignore"), pytest.raises(NumericsError) as exc:
-            _train_batch(model, corpus, None, sched, hyper, idx, np.random.default_rng(22), epoch=4)
+            _finish_batch(model, batch, _start_batch(model, batch), hyper.lr)
         assert str(exc.value) == f"non-finite loss nan at epoch 4, document 5, step {step}"
 
     @pytest.mark.parametrize("rho", [-0.1, 1.5])
