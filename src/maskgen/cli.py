@@ -4,7 +4,8 @@ Subcommands: gen-corpus, train, train-corrector, decode, eval,
 ablate-steps, compare-modes, dump-schedule. A flag that sets an
 experiment config key takes the key's parser, default and value rule from
 ``ExperimentConfig``; any subcommand that draws randomness requires an explicit
-seed (from the config file or --seed). Exit codes: 0 success, 2 config
+seed (from the config file or --seed). Exit codes: 0 success, 1 worker
+failure (a worker process that ended without sending its result), 2 config
 error (an unusable path included), 3 numeric failure.
 """
 
@@ -252,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
             if (value := getattr(args, key, None)) is not None:
                 harness.check_value(key, value)
         return args.fn(args)
+    except ChildProcessError as exc:  # a subclass of OSError that no input of the user causes
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, OSError) as exc:  # OSError: a path that cannot be read or written as asked
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,14 +10,8 @@ of every run: it validates the config, creates the output directories and
 stamps every CSV with a config-hash comment line for exact reproduction.
 
 ``decode_all`` is the one per-sequence inference loop, for ``evaluate`` and
-``maskgen decode``. ``train_cells`` runs independent trainings: the two
-predictors and the corrector of every seed of ``compare_masking_modes``.
-Both split their work into ``cpu_shards``, contiguous shards, one per CPU
-the call may use (``cpus.usable_cpus``: the process's affinity mask, or one
-inside a ``fan_out`` job), and run every shard but the first in a child
-forked by ``fan_out``. The output is byte-identical for every number of
-shards; ``taskset -c 0`` gives a one-process run. Forked children's CPU time and memory do not show in the
-parent's ``getrusage(RUSAGE_SELF)``.
+``maskgen decode``. It spreads its rows, and ``compare_masking_modes`` its
+trainings, over the CPUs the call may use (see ``cpus``).
 """
 
 from __future__ import annotations
@@ -25,15 +19,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import pickle
-import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .blas import one_blas_thread
 from .corrector import CorrectorEpochStats, CorrectorModel, CorrectorTrainConfig, correct, train_corrector
 from .corpus import (
     Corpus,
@@ -45,7 +36,7 @@ from .corpus import (
     sequence_base_probabilities,
     write_csv,
 )
-from .cpus import fan_out_jobs, usable_cpus
+from .cpus import cpu_shards, fan_out, train_cells
 from .decoder import decode
 from .errors import ConfigError
 from .predictor import (
@@ -292,99 +283,6 @@ def edit_distance(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
         # insertion closes over prefixes: cur[j] = min_k<=j (cur[k] + j - k)
         prev = np.minimum.accumulate(cur - idx, axis=1) + idx
     return int(prev[0, -1]) if a.ndim == 1 else prev[:, -1]
-
-
-def cpu_shards(n: int) -> list[slice]:
-    """k = min(``usable_cpus()``, n) contiguous slices, at least one, that
-    cover ``range(n)`` in order."""
-    k = max(1, min(usable_cpus(), n))
-    bounds = [n * i // k for i in range(k + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def fan_out(work: Callable, jobs: Sequence) -> list:
-    """``[work(job) for job in jobs]`` for at least one job, with every job
-    after the first run in a child forked for it; this process runs the
-    first. Every process runs on one OpenBLAS thread (see ``blas``), so k
-    processes never run more than k threads.
-
-    A fork copies only the calling thread, so while another Python thread
-    runs, every job runs here. So does every job when the call may use one
-    CPU (``usable_cpus``), which it may inside a job of another fan_out, so
-    k jobs never become k² processes. The results are the same either way.
-
-    A child sends back its pickled result, or the exception it raised,
-    through a pipe, and always leaves through ``os._exit``: it never runs
-    the caller's code after the fork. On every path every pipe is read or
-    closed and then every child is reaped; after that the first error in
-    job order is raised. A child that ends without a result raises
-    ``ChildProcessError``.
-    """
-    children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
-    payloads: list[bytes] = []
-    with one_blas_thread():
-        if len(jobs) == 1 or usable_cpus() == 1 or threading.active_count() > 1:
-            return [work(job) for job in jobs]
-        with fan_out_jobs():
-            try:
-                for job in jobs[1:]:
-                    read_fd, write_fd = os.pipe()
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        os.close(read_fd)
-                        os.close(write_fd)
-                        raise
-                    if pid == 0:
-                        _child(work, job, write_fd, [read_fd, *(fd for _, fd in children)])
-                    os.close(write_fd)
-                    children.append((pid, read_fd))
-                results = [work(jobs[0])]
-                # a child blocks on a result larger than the pipe buffer until it is read
-                for _, fd in children:
-                    with open(fd, "rb", closefd=False) as pipe:
-                        payloads.append(pipe.read())
-            finally:
-                for _, fd in children:
-                    os.close(fd)
-                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-    for (pid, _), code, payload in zip(children, codes, payloads, strict=True):
-        if code != 0:
-            raise ChildProcessError(f"worker process {pid} ended with exit code {code} and sent no result")
-        result, error = pickle.loads(payload)
-        if error is not None:
-            raise error
-        results.append(result)
-    return results
-
-
-def _child(work: Callable, job, write_fd: int, inherited: list[int]) -> NoReturn:
-    """The forked child of ``fan_out``: close the pipe ends it inherited,
-    run ``work(job)``, write the pickled ``(result, error)`` pair to
-    ``write_fd`` and exit, with code 0 only once the pair is written."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            reply = (work(job), None)
-        except BaseException as exc:  # the parent raises it
-            reply = (None, exc)
-        payload = memoryview(pickle.dumps(reply))
-        while payload:
-            payload = payload[os.write(write_fd, payload) :]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def train_cells(cells: Sequence[Callable[[], object]]) -> list:
-    """``[cell() for cell in cells]``, with the cells, independent trainings
-    taking no arguments, split into ``cpu_shards`` and the shards run
-    through ``fan_out``. A trained model is the same in every process, so
-    the results do not depend on the number of CPUs."""
-    shards = fan_out(lambda part: [cell() for cell in cells[part]], cpu_shards(len(cells)))
-    return [result for shard in shards for result in shard]
 
 
 def decode_all(

@@ -728,11 +728,10 @@ def train(
     update divides the summed gradient by the batch's masked-token count.
     Each minibatch runs as one batched pass (see ``_draw_batch`` and
     ``_batch_pass``), bit for bit the same as accumulating example by
-    example. A document's
-    coarse-to-fine rarity priors do not depend on the epoch, so they are
-    built once per document. Deterministic for a fixed seed; runs on one
-    OpenBLAS thread and sets the process's heap to keep freed pages (see
-    ``blas``).
+    example. A document's coarse-to-fine rarity priors do not depend on the
+    epoch, so they are built once per document. Deterministic for a fixed
+    seed; runs on one OpenBLAS thread and sets the process's heap to keep
+    freed pages (see ``blas``).
 
     When the call may use two CPUs or more (``cpus.usable_cpus``) and a
     minibatch can hold two examples, a helper process (``_Helper``) starts

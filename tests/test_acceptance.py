@@ -24,6 +24,7 @@ from maskgen.corrector import (
     suspicion_scores,
     train_corrector,
 )
+from maskgen.cpus import train_cells
 from maskgen.decoder import decode
 from maskgen.harness import (
     ExperimentConfig,
@@ -31,7 +32,6 @@ from maskgen.harness import (
     compare_masking_modes,
     evaluate,
     run_experiment,
-    train_cells,
 )
 from maskgen.predictor import build_conditioning, example_loss, init_model
 from maskgen.schedule import (

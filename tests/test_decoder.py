@@ -559,23 +559,38 @@ def test_only_the_channel_users_substitute(name):
     assert _functions_using(name) == SUBSTITUTION_USERS
 
 
-def test_only_the_fan_out_forks():
-    # the shards of decode_all and train_cells; a second route to worker
-    # processes would show up here
-    assert _functions_using("fork") == {("harness", "fan_out")}
-
-
-def test_only_blas_imports_ctypes():
-    # native calls (the OpenBLAS thread count, glibc's heap) stay in one module
+def _importers(package):
+    """Modules of ``src/maskgen`` that import the top-level ``package`` or a
+    submodule of it, at module level or inside a function."""
     src = Path(__file__).resolve().parents[1] / "src" / "maskgen"
     importers = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "ctypes" for a in node.names) or (
-                isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "ctypes"
+            if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == package for a in node.names) or (
+                isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == package
             ):
                 importers.add(path.stem)
-    assert importers == {"blas"}
+    return importers
+
+
+def test_only_the_fan_out_forks():
+    # the shards of decode_all and train_cells; a second route to worker
+    # processes would show up here or in the next test
+    assert _functions_using("fork") == {("cpus", "fan_out")}
+    for name in ("forkpty", "posix_spawn", "posix_spawnp", "system", "popen"):
+        assert _functions_using(name) == set(), name
+
+
+def test_only_the_training_helper_starts_a_program():
+    # the helper of predictor.train is the one process started through
+    # subprocess; the process pools of the standard library go unused
+    assert _importers("subprocess") == {"predictor"}
+    assert _importers("multiprocessing") == _importers("concurrent") == set()
+
+
+def test_only_blas_imports_ctypes():
+    # native calls (the OpenBLAS thread count, glibc's heap) stay in one module
+    assert _importers("ctypes") == {"blas"}
 
 
 def test_the_benchmark_tracer_fits_the_program(monkeypatch):

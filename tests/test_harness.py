@@ -20,21 +20,22 @@ import maskgen
 from maskgen.cli import build_parser
 from maskgen.cli import main as cli_main
 from maskgen.corpus import document_frequency, generate_corpus, load_corpus, save_corpus, save_frequency_csv
-from maskgen.corrector import init_corrector, save_corrector
+from maskgen.corrector import init_corrector, load_corrector, save_corrector
+from maskgen.cpus import cpu_shards, fan_out
 from maskgen.errors import ConfigError, NumericsError
 from maskgen.harness import (
     _PARSERS,
     ExperimentConfig,
+    _corpora,
     ablate_steps,
     build_pipeline,
     compare_masking_modes,
     config_hash,
-    cpu_shards,
     decode_all,
     derive_seeds,
     edit_distance,
     evaluate,
-    fan_out,
+    fit_corrector,
     frequency_deciles,
     load_config,
     parse_config,
@@ -453,6 +454,49 @@ class TestCli:
         assert cli_main(["eval", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "metrics.csv").exists()
 
+    @staticmethod
+    def csv_rows(path):
+        """The rows of a CSV ``harness`` wrote, after its comment and header."""
+        return [line.split(",") for line in path.read_text().splitlines()[2:]]
+
+    def test_train_corrector_subcommand(self, tmp_path, capsys):
+        cfg = tiny_config(output_dir=str(tmp_path / "run"))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(cfg))
+        assert cli_main(["train-corrector", "--config", str(cfg_path)]) == 0
+        model, history = fit_corrector(cfg, _corpora(cfg)[0])
+        path = tmp_path / "run" / "corrector.bin"
+        saved = load_corrector(path)
+        assert saved.embedding.tobytes() == model.embedding.tobytes() and saved.w.tobytes() == model.w.tobytes()
+        assert (saved.b, saved.radius) == (model.b, model.radius)
+        assert capsys.readouterr().out.splitlines() == [
+            f"trained corrector -> {path} (loss/position {history[-1].loss_per_position:.4f})"
+        ]
+
+    def test_ablate_steps_subcommand(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(tiny_config(output_dir=str(tmp_path / "run"))))
+        assert cli_main(["ablate-steps", "--config", str(cfg_path)]) == 0
+        rows = self.csv_rows(tmp_path / "run" / "ablate_steps.csv")
+        assert [int(n) for n, _, _ in rows] == [1, 4]
+        assert capsys.readouterr().out.splitlines() == [
+            f"n_steps {int(n):4d}  accuracy {float(acc):.4f}  edit_distance {float(edit):.3f}" for n, acc, edit in rows
+        ]
+
+    def test_compare_modes_subcommand(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(serialize_config(tiny_config(seeds=(5, 6), output_dir=str(tmp_path / "run"))))
+        assert cli_main(["compare-modes", "--config", str(cfg_path)]) == 0
+        rows = self.csv_rows(tmp_path / "run" / "compare_modes.csv")
+        assert len(self.csv_rows(tmp_path / "run" / "compare_modes_deciles.csv")) == 10 * len(rows) == 80
+        cells = sorted((int(seed), mode, int(corr), float(acc), float(bottom))
+                       for seed, mode, corr, acc, _, _, bottom, _ in rows)
+        assert [cell[:3] for cell in cells] == [(s, m, c) for s in (5, 6) for m in ("ctf", "uniform") for c in (0, 1)]
+        assert capsys.readouterr().out.splitlines() == [
+            f"seed {seed}  {mode + '+corrector' if corr else mode:18s} overall {acc:.4f}  bottom-decile {bottom:.4f}"
+            for seed, mode, corr, acc, bottom in cells
+        ]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         for line, key in (("mask_mode = nope", "mask_mode"), ("convention = cos", "convention")):
@@ -503,7 +547,7 @@ class TestCli:
 def decode_inputs(tmp_path_factory):
     """Untrained 16-token checkpoints, 16- and 32-token observation files
     of length 20, their frequency tables, and malformed copies of the
-    16-token table."""
+    16-token checkpoint, observations and table."""
     d = tmp_path_factory.mktemp("decode_inputs")
     rng = np.random.default_rng(0)
     obs = generate_corpus(16, 4, 20, 1.2, 1, seed=1)
@@ -521,6 +565,10 @@ def decode_inputs(tmp_path_factory):
         ("freq_short_row", 2, "0"),
     ]:
         (d / f"{name}.csv").write_text("\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n")
+    (d / "freq_out_of_order.csv").write_text("\n".join(lines[:2] + [lines[3], lines[2]] + lines[4:]) + "\n")
+    (d / "freq_no_num_docs.csv").write_text("\n".join(lines[1:]) + "\n")
+    rows = (d / "obs.txt").read_text().splitlines()  # header, sequence 0, ...
+    (d / "obs_short_row.txt").write_text("\n".join([rows[0], rows[1].rsplit(" ", 1)[0], *rows[2:]]) + "\n")
     model = init_model(16, 4, 1, rng)
     save_predictor(model, d / "model.bin")
     model.out_w[0, 0] = np.nan
@@ -531,6 +579,7 @@ def decode_inputs(tmp_path_factory):
     (d / "short.bin").write_bytes(whole[: len(whole) // 2])
     (d / "header.bin").write_bytes(whole[:12])
     (d / "long.bin").write_bytes(whole + b"\x00" * 14)
+    (d / "version2.bin").write_bytes(whole[:8] + (2).to_bytes(4, "little") + whole[12:])  # magic, version, ...
     (d / "corr_long.bin").write_bytes((d / "corr.bin").read_bytes() + b"\x00" * 8)
     return d
 
@@ -553,6 +602,11 @@ DECODE_EXIT_CODES = {
     "freq_csv_count_above_num_docs": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_above_num_docs.csv"], 2),
     "freq_csv_num_docs_zero": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_no_docs.csv"], 2),
     "freq_csv_short_row": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_short_row.csv"], 2),
+    "freq_csv_out_of_order": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_out_of_order.csv"], 2),
+    "freq_csv_without_num_docs": (["--mask-mode", "ctf", "--freq-csv", "{d}/freq_no_num_docs.csv"], 2),
+    "ctf_without_freq_csv": (["--mask-mode", "ctf"], 2),
+    "checkpoint_version_2": (["--model", "{d}/version2.bin"], 2),
+    "input_short_row": (["--input", "{d}/obs_short_row.txt"], 2),
     "input_vocab_mismatch": (["--input", "{d}/obs32.txt"], 2),
     "corrector_vocab_mismatch": (["--corrector", "{d}/corr32.bin"], 2),
     "sampled": (["--temperature", "0.8", "--seed", "3"], 0),
@@ -783,18 +837,19 @@ class TestFanOut:
                     assert mine.tobytes() == theirs.tobytes(), (n, k)
 
     @staticmethod
-    def fail_in(monkeypatch, where, fail):
-        """Make ``decode`` call ``fail()`` in the parent or in the children."""
+    def fail_in(monkeypatch, where, fail, name="decode"):
+        """Make ``harness``'s ``decode`` (or ``name``) call ``fail()`` in the
+        parent or in the children."""
         import maskgen.harness as harness_mod
 
-        parent, real = os.getpid(), harness_mod.decode
+        parent, real = os.getpid(), getattr(harness_mod, name)
 
-        def decode(*args, **kwargs):
+        def failing(*args, **kwargs):
             if (os.getpid() == parent) == (where == "parent"):
                 fail()
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "decode", decode)
+        monkeypatch.setattr(harness_mod, name, failing)
 
     @staticmethod
     def assert_no_child_left():
@@ -840,6 +895,18 @@ class TestFanOut:
         assert capsys.readouterr().err.strip().splitlines() == ["numeric failure: non-finite logits in shard"]
         self.assert_no_child_left()
 
+    def test_a_dead_child_exits_1_from_the_cli(self, decode_inputs, tmp_path, capsys, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        self.fail_in(monkeypatch, "children", lambda: os._exit(7))
+        d = decode_inputs
+        argv = ["decode", "--model", f"{d}/model.bin", "--input", f"{d}/obs.txt", "--out", str(tmp_path / "out.txt")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("worker failure: worker process "), err
+        assert err[0].endswith(" ended with exit code 7 and sent no result"), err
+        assert not any(tmp_path.iterdir())
+        self.assert_no_child_left()
+
     def test_no_child_is_left_when_the_parent_shard_raises(self, inputs, monkeypatch):
         self.cpus(monkeypatch, 3)
         self.fail_in(monkeypatch, "parent", self.numerics_error)
@@ -878,22 +945,30 @@ class TestFanOut:
             self.assert_no_child_left()
 
     def test_a_training_error_in_a_child_exits_3_from_compare_modes(self, tmp_path, capsys, monkeypatch):
-        import maskgen.harness as harness_mod
+        def fail():
+            raise NumericsError("loss is nan in a training child")
 
-        parent, real = os.getpid(), harness_mod.train
-
-        def train(*args, **kwargs):
-            if os.getpid() != parent:
-                raise NumericsError("loss is nan in a training child")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(harness_mod, "train", train)
+        self.fail_in(monkeypatch, "children", fail, "train")
         self.cpus(monkeypatch, 3)  # the CTF predictor here, the uniform one and the corrector in children
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(serialize_config(tiny_config(seeds=(5,))))
         out = tmp_path / "run"
         assert cli_main(["compare-modes", "--config", str(cfg_file), "--output-dir", str(out)]) == 3
         assert capsys.readouterr().err.strip().splitlines() == ["numeric failure: loss is nan in a training child"]
+        assert not list(out.glob("*.csv"))
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("name", ["train", "decode"])
+    def test_a_dead_child_exits_1_from_compare_modes(self, tmp_path, capsys, monkeypatch, name):
+        self.fail_in(monkeypatch, "children", lambda: os._exit(7), name)
+        self.cpus(monkeypatch, 3)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(serialize_config(tiny_config(seeds=(5,))))
+        out = tmp_path / "run"
+        assert cli_main(["compare-modes", "--config", str(cfg_file), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("worker failure: worker process "), err
+        assert err[0].endswith(" ended with exit code 7 and sent no result"), err
         assert not list(out.glob("*.csv"))
         self.assert_no_child_left()
 
@@ -951,20 +1026,31 @@ class TestFanOut:
         assert fan_out(lambda _: os.getpid(), [0, 1])[1] != os.getpid()
         self.assert_no_child_left()
 
-    def test_cli_bytes_pinned_to_one_cpu_equal_unpinned(self, decode_inputs, tmp_path):
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_cli_bytes_pinned_to_one_cpu_equal_unpinned(self, decode_inputs, tmp_path, command):
+        # eval's training at these sizes outlasts the ~0.2 s the training
+        # helper needs to start, so the unpinned run trains with the helper
         d = decode_inputs
         src = Path(maskgen.__file__).resolve().parents[1]
         one_cpu = min(os.sched_getaffinity(0))
+        outputs = {}
         for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {one_cpu})), ("unpinned", None)):
+            out = tmp_path / name
+            if command == "decode":
+                out.mkdir()
+                argv = ["decode", "--model", f"{d}/model.bin", "--input", f"{d}/obs.txt", "--n-steps", "4",
+                        "--mask-mode", "ctf", "--freq-csv", f"{d}/freq.csv", "--corrector", f"{d}/corr.bin",
+                        "--refill", "full", "--temperature", "0.8", "--seed", "3",
+                        "--out", str(out / "decoded.txt"), "--trace", str(out / "trace.csv")]
+            else:
+                argv = ["eval", "--seed", "4", "--num-docs", "256", "--epochs", "4", "--output-dir", str(out)]
             subprocess.run(
-                [sys.executable, "-m", "maskgen.cli", "decode", "--model", f"{d}/model.bin", "--input", f"{d}/obs.txt",
-                 "--n-steps", "4", "--mask-mode", "ctf", "--freq-csv", f"{d}/freq.csv", "--corrector", f"{d}/corr.bin",
-                 "--refill", "full", "--temperature", "0.8", "--seed", "3",
-                 "--out", str(tmp_path / f"{name}.txt"), "--trace", str(tmp_path / f"{name}_trace.csv")],
+                [sys.executable, "-m", "maskgen.cli", *argv],
                 env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=pin, check=True, capture_output=True, timeout=120,
             )
-        for suffix in (".txt", "_trace.csv"):
-            assert (tmp_path / f"pinned{suffix}").read_bytes() == (tmp_path / f"unpinned{suffix}").read_bytes()
+            outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(outputs["pinned"]) == {"decode": 2, "eval": 5}[command]
+        assert outputs["pinned"] == outputs["unpinned"]
 
 
 @pytest.mark.parametrize("error", [ConfigError("seeds", "must not repeat an entry"), NumericsError("loss is nan")])

@@ -20,8 +20,8 @@ from test_identity import _bits
 
 from maskgen import cpus, predictor
 from maskgen.corpus import Corpus, document_frequency, generate_corpus
+from maskgen.cpus import fan_out, train_cells
 from maskgen.errors import NumericsError
-from maskgen.harness import fan_out, train_cells
 from maskgen.predictor import TrainConfig, _draw_batch, _finish_batch, _start_batch, init_model, train
 from maskgen.schedule import MaskMode, ScheduleConfig
 
