@@ -283,14 +283,22 @@ def load_corpus(path) -> Corpus:
         if len(header) != 4:
             raise ValueError(f"corpus header must be 'V T N_docs seed', got {header!r}")
         vocab_size, seq_len, num_docs, seed = (int(x) for x in header)
-        tokens = np.empty((num_docs, seq_len), dtype=np.int64)
+        if seq_len < 0 or num_docs < 0:
+            raise ValueError(f"corpus header has a negative length or count: {header!r}")
+        # the rows are read before anything is allocated, so a header that
+        # promises more rows than the file holds fails at its first missing row
+        rows = []
         for d in range(num_docs):
-            row = np.array(fh.readline().split(), dtype=np.int64)
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"the file ends before sequence {d} of {num_docs}")
+            row = np.array(line.split(), dtype=np.int64)
             if row.shape[0] != seq_len:
                 raise ValueError(f"sequence {d}: expected {seq_len} tokens, got {row.shape[0]}")
-            tokens[d] = row
+            rows.append(row)
         if any(line.strip() for line in fh):
             raise ValueError(f"text after the last of {num_docs} sequences")
+    tokens = np.array(rows, dtype=np.int64).reshape(num_docs, seq_len)
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
         raise ValueError("corpus contains token ids outside [0, vocab_size)")
     return Corpus(tokens=tokens, vocab_size=vocab_size, seed=seed)

@@ -21,12 +21,13 @@ unmasked positions contribute exactly zero gradient.
 batch with a leading axis ((B, T), (B, T, D)); one sequence is the B = 1
 case of the same code. ``masked_ce_loss`` takes only ``forward``'s
 prediction with ``positions=mask == 1``, so only masked rows are
-normalized, scored and differentiated. Training runs each minibatch as one
-batched pass that reproduces per-example SGD bit for bit. The matrix
-products run as ``np.matmul`` over the stacked sequences, which makes for
-each sequence the same BLAS call that a single-sequence pass makes; a
-single product over all B*T rows would round differently when T is 1,
-where numpy switches from a matrix product to a vector product. Every sum
+featurized, multiplied, normalized, scored and differentiated. Training
+runs each minibatch as one batched pass that reproduces per-example SGD
+bit for bit. The matrix products run as ``np.matmul`` over stacks of T
+rows (the sequences, or the picked rows packed into zero-padded blocks of
+T), which makes for each the same BLAS call that a single-sequence pass
+makes; a single product over all the rows would round differently, and
+when T is 1 numpy switches from a matrix product to a vector product. Every sum
 that runs across examples (loss, output-weight, bias and embedding
 gradients) is taken per example and added in example order, the order the
 per-example loop used. Each example's gradient is computed in one place,
@@ -124,9 +125,9 @@ class PredictionOutput:
     probs: np.ndarray  # ([B,] T, V), or the rows ``forward``'s positions pick; rows sum to 1
     model: PredictorModel = field(repr=False)
     masked: np.ndarray = field(repr=False)  # ([B,] T) input ids, mask token allowed
-    features: np.ndarray = field(repr=False)  # ([B,] T, F)
+    features: np.ndarray = field(repr=False)  # ([B,] T, F), or the (K, F) rows ``forward``'s positions pick
     source_tokens: np.ndarray = field(repr=False)  # ([B,] T) the conditioning's tokens
-    positions: np.ndarray | None = field(repr=False)  # the rows ``probs`` holds; None for every row
+    positions: np.ndarray | None = field(repr=False)  # bool: the rows ``probs`` holds; None for every row
 
 
 @dataclass
@@ -179,21 +180,34 @@ def build_conditioning(distorted: np.ndarray, model: PredictorModel) -> Conditio
     return ConditioningContext(cond=cond, global_embed=cond.mean(axis=-2), source_tokens=distorted)
 
 
-def window(u: np.ndarray, r: int) -> np.ndarray:
+def window(u: np.ndarray, r: int, rows: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """([B,] T, D*(2r+1)) windowed concatenation of the ([B,] T, D) rows of
     ``u``: block c of row t is row t + c - r of the same sequence, zero
     outside it. The predictor and the corrector build their features with
     it. The zero-padded rows are written once; window t is padded rows t to
     t + 2r, so all windows are one strided view of them, copied out in one
-    pass."""
+    pass. With ``rows``, a bool array of u's ([B,] T) shape, only the
+    windows it picks are gathered from ``u``, block by block, with no padded
+    copy: (K, F) in row-major order, into ``out`` when given, which must
+    hold zeros."""
     t, d = u.shape[-2:]
     lead = u.shape[:-2]
+    f = d * (2 * r + 1)
+    if rows is not None:
+        picked = np.flatnonzero(rows)
+        pos = picked % t
+        flat = u.reshape(-1, d)
+        feats = np.zeros((picked.shape[0], f)) if out is None else out
+        for c in range(2 * r + 1):
+            inside = (pos >= r - c) & (pos < t + r - c)  # row t + c - r lies in the sequence
+            feats[inside, c * d : (c + 1) * d] = flat[picked[inside] + (c - r)]
+        return feats
     padded = np.zeros(lead + (t + 2 * r, d))
     padded[..., r : r + t, :] = u
     step = padded.strides
     windows = np.ndarray(lead + (t, 2 * r + 1, d), buffer=padded, strides=step[:-1] + step[-2:])
     # the reshape is still a view, with overlapping rows: the copy is the pass
-    return windows.reshape(lead + (t, d * (2 * r + 1))).copy()
+    return windows.reshape(lead + (t, f)).copy()
 
 
 def window_adjoint(dfeats: np.ndarray, r: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -217,14 +231,19 @@ def window_adjoint(dfeats: np.ndarray, r: int, d: int, out: np.ndarray | None = 
     return du
 
 
-def _window_features(model: PredictorModel, inputs: np.ndarray, ctx: ConditioningContext) -> np.ndarray:
+def _window_features(
+    model: PredictorModel, inputs: np.ndarray, ctx: ConditioningContext,
+    rows: np.ndarray | None = None, out: np.ndarray | None = None,
+) -> np.ndarray:
     """([B,] T, F) features: windowed concatenation of per-position vectors
-    with the global vector added to the center block."""
+    with the global vector added to the center block. With ``rows`` only
+    the (K, F) rows it picks, into ``out`` when given (see ``window``)."""
     r, d = model.radius, model.dim
     u = model.embedding.take(inputs, axis=0, mode="clip")
     u += ctx.cond
-    feats = window(u, r)
-    feats[..., r * d : (r + 1) * d] += ctx.global_embed[..., None, :]
+    feats = window(u, r, rows, out)
+    center = np.broadcast_to(ctx.global_embed[..., None, :], u.shape)
+    feats[..., r * d : (r + 1) * d] += center if rows is None else center[rows]
     return feats
 
 
@@ -237,33 +256,42 @@ def forward(
     """Per-position probability vectors over the vocabulary: (T, V) for
     (T,) input ids, (B, T, V) for a (B, T) batch.
 
-    With ``positions`` only the rows it picks are normalized and returned,
-    and each equals the matching row of the full output bit for bit. An
-    index array picks the same rows of every sequence, in the given order:
-    ``probs`` is then ([B,] len(positions), V). A bool array of the input's
-    shape picks the rows where it is true, in row-major order: ``probs`` is
-    then (K, V) for K true entries. The logits are still computed for the
-    whole sequence, because a matrix product over fewer rows may round
-    differently.
+    ``positions``, a bool array of the input's shape, picks the rows where
+    it is true: only their features and logits are computed, and ``probs``
+    and ``features`` are (K, V) and (K, F) for K true entries, in row-major
+    order. Each row equals the matching row of the full output bit for bit:
+    the picked features are packed into zero-padded blocks of T rows, so
+    every product is the (T, F) @ (F, V) product of one sequence's pass.
+    (A product over K rows may round differently; over one row numpy
+    switches to a vector product.) The logits are normalized T rows at a
+    time, so no temporary outgrows those of one sequence's pass.
     """
     masked = np.asarray(masked, dtype=np.int64)
     if masked.shape != ctx.source_tokens.shape:
         raise ValueError(f"input shape {masked.shape} != conditioning shape {ctx.source_tokens.shape}")
     if masked.min(initial=0) < 0 or masked.max(initial=0) > model.vocab_size:
         raise ValueError("input token id outside [0, vocab_size] (mask token is vocab_size)")
-    if positions is not None:
+    t, f, v = masked.shape[-1], model.feature_dim, model.vocab_size
+    if positions is None:
+        feats = _window_features(model, masked, ctx)
+        # per sequence, the product a single pass makes
+        logits = np.matmul(feats, model.out_w)
+    else:
         positions = np.asarray(positions)
-        if positions.dtype == bool and positions.shape != masked.shape:
+        if positions.dtype != bool:
+            raise ValueError(f"row selection of dtype {positions.dtype}: it must be bool")
+        if positions.shape != masked.shape:
             raise ValueError(f"row selection shape {positions.shape} != input shape {masked.shape}")
-    feats = _window_features(model, masked, ctx)
-    # per sequence, the product a single pass makes
-    logits = np.matmul(feats, model.out_w)
-    if positions is not None:
-        logits = logits[..., positions, :]
+        k = int(np.count_nonzero(positions))
+        blocks = np.zeros((-(-k // t), t, f))
+        feats = _window_features(model, masked, ctx, positions, out=blocks.reshape(-1, f)[:k])
+        logits = np.matmul(blocks, model.out_w).reshape(-1, v)[:k]
     logits += model.out_b
     # log-softmax, then exp, in the logits' buffer
-    logits -= logits.max(axis=-1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    rows = logits.reshape(-1, v)
+    for part in np.split(rows, range(t, rows.shape[0], t)):
+        part -= part.max(axis=-1, keepdims=True)
+        part -= np.log(np.exp(part).sum(axis=-1, keepdims=True))
     probs = np.exp(logits, out=logits)
     return PredictionOutput(probs, model, masked, feats, ctx.source_tokens, positions)
 
@@ -283,10 +311,13 @@ def masked_ce_loss(
     ``pred`` holds exactly the masked rows: it is ``forward``'s with
     ``positions=mask == 1``, and any other prediction raises
     ``ValueError``. ``grads.logits``, the gradient wrt the logits, is dense,
-    with zero rows at unmasked positions, so the products with it are the
-    ones a full pass makes. The prediction is spent: ``pred.probs`` becomes
-    the logit gradient, and the gradient wrt the features is written over
-    its features. Read ``pred.probs`` before the call.
+    with zero rows at unmasked positions, so the product that gives the
+    gradient wrt the features is the one a full pass makes (over the masked
+    rows alone it rounds differently at 1-8 rows). Each example's
+    output-weight gradient is the product over its masked rows only, which
+    equals the dense one bit for bit. The prediction is spent:
+    ``pred.probs`` becomes the logit gradient. Read ``pred.probs`` before
+    the call.
     """
     losses, grads = _example_gradients(pred, target, mask)
     return (float(losses[0]) if np.ndim(target) == 1 else losses), grads
@@ -306,10 +337,10 @@ def _example_gradients(
     model = pred.model
     if pred.masked.shape != target.shape or mask.shape != target.shape:
         raise ValueError("target / mask / prediction shapes disagree")
-    r, d, v, f = model.radius, model.dim, model.vocab_size, model.feature_dim
+    r, d, v = model.radius, model.dim, model.vocab_size
     t = target.shape[-1]
+    feats = pred.features  # (K, F): the masked rows in row-major order
     # one sequence is a batch of one; these reshapes are views
-    feats = pred.features.reshape(-1, t, f)
     targets = target.reshape(-1, t)
     on = mask.reshape(-1, t) == 1
     nb = targets.shape[0]
@@ -347,16 +378,16 @@ def _example_gradients(
         losses[b] = -log_p[starts[b] : starts[b] + counts[b]].sum()
     probs[hit] -= 1.0
     dlogits[on] = probs
-    # the prediction's own rows are spent: free them before the backward pass
     pred.probs = grads.logits = dlogits.reshape(target.shape + (v,))
-    del probs
 
     bias_terms = dlogits.sum(axis=1)
     for b in range(nb):
-        keep(grads.out_w, b, feats[b].T @ dlogits[b])
+        rows = slice(starts[b], starts[b] + counts[b])
+        keep(grads.out_w, b, feats[rows].T @ probs[rows])
         keep(grads.out_b, b, bias_terms[b])
+    del probs, feats
 
-    dfeats = np.matmul(dlogits, model.out_w.T, out=feats)  # the features are spent
+    dfeats = np.matmul(dlogits, model.out_w.T)
     # the input-route rows of every example, then its conditioning-route rows
     rows = np.empty((2, nb, t, d))
     du = window_adjoint(dfeats, r, d, out=rows[0])

@@ -79,7 +79,8 @@ def ctf_probabilities(p_base: np.ndarray, i: int | Sequence[int], n_steps: int) 
     Uniform p_base collapses this to the plain cosine schedule. For a
     sequence of steps ``i`` there is one row per step, of the one (T,)
     p_base (``range(n_steps + 1)`` gives a decode's table) or of the
-    matching row of a (B, T) batch; row s equals bit for bit the call for
+    matching row of a (B, T) batch; a (B, 1, T) batch gives a (B, S, T)
+    table, every step for every row. Row s equals bit for bit the call for
     its row and step ``i[s]`` alone.
     """
     p_base = np.asarray(p_base, dtype=np.float64)

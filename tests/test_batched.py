@@ -45,7 +45,8 @@ def _instance(batch, t, v, d, r, seed):
     target = rng.integers(0, v, size=(batch, t))
     mask = (rng.random((batch, t)) < 0.5).astype(np.int8)
     masked = np.where(mask == 1, v, target)
-    positions = rng.permutation(t)[: int(rng.integers(1, t + 1))]
+    positions = np.zeros((batch, t), dtype=bool)  # the same rows of every sequence
+    positions[:, rng.permutation(t)[: int(rng.integers(1, t + 1))]] = True
     return model, distorted, target, mask, masked, positions
 
 
@@ -68,11 +69,13 @@ def test_forward_batch_equals_single_calls(batch, t, v, d, r, seed):
     ctx = build_conditioning(distorted, model)
     full = forward(model, masked, ctx).probs
     part = forward(model, masked, ctx, positions=positions).probs
-    assert full.shape == (batch, t, v) and part.shape == (batch, positions.shape[0], v)
+    k = int(positions[0].sum())
+    assert full.shape == (batch, t, v) and part.shape == (batch * k, v)
     for b in range(batch):
         single_ctx = build_conditioning(distorted[b], model)
         assert _bits(full[b]) == _bits(forward(model, masked[b], single_ctx).probs)
-        assert _bits(part[b]) == _bits(forward(model, masked[b], single_ctx, positions=positions).probs)
+        single_part = forward(model, masked[b], single_ctx, positions=positions[b]).probs
+        assert _bits(part[b * k : (b + 1) * k]) == _bits(single_part)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -122,10 +125,50 @@ def test_forward_on_a_row_set_equals_those_rows_of_the_full_output(batch, t, v, 
     assert _bits(part) == _bits(forward(model, masked, ctx).probs[rows])
 
 
+ROW_COUNTS = ["0", "1", "T - 1", "T", "T + 1", "2T + 1"]
+
+
+def _k_rows(shape, count, seed):
+    """A bool selection of ``count`` (a ``ROW_COUNTS`` entry) rows of the
+    batch, drawn at random."""
+    t = shape[-1]
+    k = {"0": 0, "1": 1, "T - 1": t - 1, "T": t, "T + 1": t + 1, "2T + 1": 2 * t + 1}[count]
+    rows = np.zeros(shape, dtype=bool)
+    rows.flat[np.random.default_rng(seed).permutation(rows.size)[:k]] = True
+    return rows
+
+
+def _assert_k_rows_equal_the_full_rows(batch, t, v, d, r, seed, count):
+    # the picked rows go through zero-padded blocks of T rows: one block for
+    # up to T rows, a second one holding a single row at T + 1
+    model, distorted, _, _, masked, _ = _instance(batch, t, v, d, r, seed)
+    rows = _k_rows(masked.shape, count, seed)
+    ctx = build_conditioning(distorted, model)
+    pred = forward(model, masked, ctx, positions=rows)
+    full = forward(model, masked, ctx)
+    assert pred.probs.shape == (int(rows.sum()), v)
+    assert _bits(pred.probs) == _bits(full.probs[rows])
+    assert _bits(pred.features) == _bits(full.features[rows])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(**dict(shapes, batch=st.integers(3, 6)), count=st.sampled_from(ROW_COUNTS))
+@example(batch=3, t=1, v=2, d=1, r=0, seed=0, count="1")
+@example(batch=3, t=1, v=5, d=3, r=2, seed=2, count="2T + 1")
+def test_forward_on_k_rows_equals_those_rows_of_the_full_product(batch, t, v, d, r, seed, count):
+    _assert_k_rows_equal_the_full_rows(batch, t, v, d, r, seed, count)
+
+
+@pytest.mark.parametrize("count", ROW_COUNTS)
+def test_forward_on_k_rows_at_the_default_shapes(count):
+    # V 64, T 96, dim 32, radius 1: the shapes of every benchmark decode
+    _assert_k_rows_equal_the_full_rows(3, 96, 64, 32, 1, 5, count)
+
+
 def test_masked_ce_loss_rejects_a_prediction_of_other_rows():
     model, distorted, target, mask, masked, positions = _instance(3, 8, 5, 2, 1, 4)
     ctx = build_conditioning(distorted, model)
-    for rows in (None, mask == 0, positions):  # every row, the unmasked ones, an index array
+    for rows in (None, mask == 0, (mask == 1) | positions):  # every row, the unmasked ones, more rows
         with pytest.raises(ValueError, match="other rows than the masked ones"):
             masked_ce_loss(forward(model, masked, ctx, positions=rows), target, mask)
 
@@ -140,3 +183,5 @@ def test_shape_mismatch_rejected():
         masked_ce_loss(pred, np.zeros((3, 4), dtype=np.int64), np.ones((3, 4), dtype=np.int8))
     with pytest.raises(ValueError, match="row selection shape"):
         forward(model, np.zeros((3, 5), dtype=np.int64), ctx, positions=np.ones((3, 4), dtype=bool))
+    with pytest.raises(ValueError, match="it must be bool"):  # rows are picked by a bool array only
+        forward(model, np.zeros((3, 5), dtype=np.int64), ctx, positions=np.array([0, 2]))

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maskgen.decoder as decoder_mod
@@ -400,6 +400,77 @@ class TestDecodeSkipsIdleSteps:
         assert len(calls) == 6 and len(trace) == 6
 
 
+class TestLockstep:
+    """``decode`` on a (B, T) batch runs its rows in lockstep and predicts
+    again only the positions whose window a commit changed; each row must
+    come out as a decode of that row alone does, bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(0, 4),
+        t=st.integers(1, 12),
+        steps=st.integers(1, 12),
+        r=st.integers(0, 2),
+        ctf=st.booleans(),
+        sampled=st.booleans(),
+        partly_committed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(batch=0, t=5, steps=3, r=1, ctf=True, sampled=True, partly_committed=False, seed=0)
+    @example(batch=1, t=1, steps=1, r=0, ctf=False, sampled=False, partly_committed=False, seed=1)
+    @example(batch=3, t=1, steps=1, r=2, ctf=True, sampled=True, partly_committed=True, seed=2)
+    @example(batch=4, t=12, steps=12, r=2, ctf=True, sampled=False, partly_committed=True, seed=3)
+    @example(batch=4, t=12, steps=7, r=1, ctf=False, sampled=True, partly_committed=True, seed=4)
+    def test_batch_equals_single_rows(self, batch, t, steps, r, ctf, sampled, partly_committed, seed):
+        n = min(steps, t)
+        rng = np.random.default_rng(seed)
+        model, _ = make_case(rng, t_len=t, v=5, d=3, r=r)
+        distorted = rng.integers(0, 5, size=(batch, t))
+        p_base = 1.0 - rng.random((batch, t)) if ctf else None  # in (0, 1]
+        initial = None
+        if partly_committed:  # about half the positions committed, some rows wholly
+            initial = np.where(rng.random((batch, t)) < 0.5, rng.integers(0, 5, size=(batch, t)), 5)
+        temperature = 0.8 if sampled else 0.0
+        seeds = rng.integers(0, 2**32, size=batch)
+        sched = ScheduleConfig(n_steps=n, mode=MaskMode.CTF if ctf else MaskMode.UNIFORM_COSINE)
+
+        rngs = [np.random.default_rng(s) for s in seeds] if sampled else None
+        out, trace = decode(model, build_conditioning(distorted, model), sched, rngs, temperature, p_base, initial)
+        assert out.shape == (batch, t) and trace.shape == (batch, n, 2)
+        for j in range(batch):
+            row_out, row_trace = decode(
+                model, build_conditioning(distorted[j], model), sched,
+                np.random.default_rng(seeds[j]) if sampled else None, temperature,
+                None if p_base is None else p_base[j], None if initial is None else initial[j],
+            )
+            assert out[j].tobytes() == row_out.tobytes(), j
+            rows = [(s.open_count, s.mean_confidence) for s in row_trace] or [(0, math.nan)] * n
+            assert trace[j].tobytes() == np.array(rows, dtype=np.float64).tobytes(), j
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_a_pass_predicts_only_the_open_positions_whose_window_changed(self, monkeypatch, r):
+        calls = []
+        real_forward = decoder_mod.forward
+
+        def recording_forward(model, masked, ctx, positions=None):
+            calls.append((np.array(masked), np.array(positions)))
+            return real_forward(model, masked, ctx, positions)
+
+        monkeypatch.setattr(decoder_mod, "forward", recording_forward)
+        rng = np.random.default_rng(11 + r)
+        model, _ = make_case(rng, t_len=16, v=5, d=3, r=r)
+        distorted = rng.integers(0, 5, size=(3, 16))
+        decode(model, build_conditioning(distorted, model), ScheduleConfig(n_steps=6))
+        assert len(calls) == 6 and calls[0][1].all()  # one pass per step; the first predicts everything
+        for (before, _), (after, picked) in zip(calls, calls[1:]):
+            committed = (before == 5) & (after != 5)
+            changed = committed.copy()
+            for k in range(1, r + 1):
+                changed[:, k:] |= committed[:, :-k]
+                changed[:, :-k] |= committed[:, k:]
+            np.testing.assert_array_equal(picked, changed & (after == 5))
+
+
 class TestExactnessPins:
     def test_forward_positions_rows_equal_full_rows(self):
         rng = np.random.default_rng(13)
@@ -409,9 +480,9 @@ class TestExactnessPins:
             masked = np.where(rng.random(t) < 0.5, 7, rng.integers(0, 7, size=t))
             ctx = build_conditioning(distorted, model)
             full = forward(model, masked, ctx).probs
-            positions = np.flatnonzero(rng.random(t) < 0.4)
+            positions = rng.random(t) < 0.4
             part = forward(model, masked, ctx, positions=positions).probs
-            assert part.shape == (positions.shape[0], 7)
+            assert part.shape == (int(positions.sum()), 7)
             assert np.array_equal(part, full[positions])
 
     def test_ctf_table_rows_equal_ctf_probabilities(self):

@@ -569,6 +569,11 @@ def decode_inputs(tmp_path_factory):
     (d / "freq_no_num_docs.csv").write_text("\n".join(lines[1:]) + "\n")
     rows = (d / "obs.txt").read_text().splitlines()  # header, sequence 0, ...
     (d / "obs_short_row.txt").write_text("\n".join([rows[0], rows[1].rsplit(" ", 1)[0], *rows[2:]]) + "\n")
+    # headers promising 10^12 rows: of the 4 the file holds, and of length 0
+    # (an empty line each) in a file of none; and a file of no rows at all
+    (d / "obs_huge_header.txt").write_text("\n".join(["16 20 1000000000000 1", *rows[1:]]) + "\n")
+    (d / "obs_huge_header_empty_rows.txt").write_text("16 0 1000000000000 1\n")
+    (d / "obs_empty.txt").write_text("16 20 0 1\n")
     model = init_model(16, 4, 1, rng)
     save_predictor(model, d / "model.bin")
     model.out_w[0, 0] = np.nan
@@ -615,6 +620,9 @@ DECODE_EXIT_CODES = {
     "temperature_without_seed": (["--temperature", "0.8"], 2),
     "negative_seed": (["--seed", "-1"], 2),
     "input_trailing_lines": (["--input", "{d}/obs_trailing.txt"], 2),
+    "input_header_above_its_rows": (["--input", "{d}/obs_huge_header.txt"], 2),
+    "input_header_above_its_empty_rows": (["--input", "{d}/obs_huge_header_empty_rows.txt"], 2),
+    "input_without_documents": (["--input", "{d}/obs_empty.txt"], 0),
     "negative_rounds": (["--corrector", "{d}/corr.bin", "--rounds", "-1"], 2),
     "trace_under_a_file": (["--trace", "{d}/model.bin/trace.csv"], 2),
     "out_under_a_file": (["--out", "{d}/model.bin/out.txt"], 2),
@@ -649,6 +657,25 @@ def test_decode_exit_codes(decode_inputs, tmp_path, capsys, monkeypatch, flags, 
         assert len(err) == 1 and err[0].startswith("config error"), err
     elif code == 3:
         assert len(err) == 1 and err[0].startswith("numeric failure"), err
+
+
+@pytest.mark.parametrize("name,missing", [("obs_huge_header", 4), ("obs_huge_header_empty_rows", 0)])
+def test_an_input_header_above_its_rows_fails_at_the_first_missing_row(decode_inputs, tmp_path, capsys, name, missing):
+    d = decode_inputs
+    argv = ["decode", "--model", f"{d}/model.bin", "--input", f"{d}/{name}.txt", "--out", str(tmp_path / "out.txt")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: input: "), err
+    assert err[0].endswith(f"the file ends before sequence {missing} of 1000000000000"), err
+
+
+def test_an_input_without_documents_decodes_to_an_empty_output(decode_inputs, tmp_path):
+    d = decode_inputs
+    argv = ["decode", "--model", f"{d}/model.bin", "--input", f"{d}/obs_empty.txt", "--out", str(tmp_path / "out.txt"),
+            "--n-steps", "4", "--trace", str(tmp_path / "trace.csv")]
+    assert cli_main(argv) == 0
+    assert (tmp_path / "out.txt").read_text() == "16 20 0 0\n"
+    assert (tmp_path / "trace.csv").read_text() == "step,open_count,mean_confidence\n"
 
 
 GEN_CORPUS = ["gen-corpus", "--seed", "1", "--out", "{tmp}/corpus.txt"]
@@ -835,6 +862,39 @@ class TestFanOut:
                 for mine, theirs in zip((decoded, traces), other):
                     assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, (n, k)
                     assert mine.tobytes() == theirs.tobytes(), (n, k)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8], ids=["greedy", "sampled"])
+    def test_bytes_do_not_depend_on_the_block_size(self, inputs, monkeypatch, temperature):
+        import maskgen.harness as harness_mod
+
+        self.cpus(monkeypatch, 1)
+        whole = self.decode(inputs, 5, temperature, use_corrector=True)  # one block of 5 rows
+        for block in (1, 2, 3):
+            monkeypatch.setattr(harness_mod, "DECODE_BLOCK", block)
+            for mine, theirs in zip(whole, self.decode(inputs, 5, temperature, use_corrector=True), strict=True):
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), block
+
+    def test_the_working_set_does_not_grow_with_the_rows(self, monkeypatch):
+        # decode_all hands decode blocks of DECODE_BLOCK rows, so on one CPU
+        # the memory it needs beyond the arrays it returns is that of one
+        # block, whatever the number of rows (default V, T and dim; CTF at
+        # 40 steps, as the benchmark decodes)
+        import tracemalloc
+
+        self.cpus(monkeypatch, 1)
+        corpus = generate_corpus(64, 480, 96, 1.2, 1, seed=5)
+        freq = document_frequency(corpus)
+        model = init_model(64, 32, 1, np.random.default_rng(0))
+        sched = ScheduleConfig(n_steps=40, mode=MaskMode.CTF)
+        working = {}
+        for n in (48, 480):
+            tracemalloc.start()
+            try:
+                outputs = decode_all(model, corpus.tokens[:n], sched, freq, None, 0.5, 2, None, 0.0, [None] * n)
+                working[n] = tracemalloc.get_traced_memory()[1] - sum(a.nbytes for a in outputs)
+            finally:
+                tracemalloc.stop()
+        assert working[480] <= 1.1 * working[48], working
 
     @staticmethod
     def fail_in(monkeypatch, where, fail, name="decode"):
