@@ -221,32 +221,31 @@ def document_frequency(corpus: Corpus) -> FrequencyTable:
 
 
 def standardized_sigmoid(z: np.ndarray, mean: float | None = None, std: float | None = None) -> np.ndarray:
-    """sigmoid((z - mean)/std) with population statistics of ``z`` by default.
+    """sigmoid((z - mean)/std), by default with the population statistics
+    of each row of ``z`` (its last axis), as a call per row would take them.
 
-    A zero standard deviation maps every score to 0 before the sigmoid,
-    hence 0.5 everywhere (the continuous limit; avoids division by zero).
+    A zero standard deviation maps every score of its row to 0 before the
+    sigmoid, hence 0.5 everywhere (the continuous limit; no division by 0).
     """
     z = np.asarray(z, dtype=np.float64)
     if mean is None:
-        mean = float(z.mean())
+        mean = z.mean(axis=-1, keepdims=True)
     if std is None:
-        std = float(z.std())  # population convention: no T-1 edge case at T=1
-    if std == 0.0:
-        normed = np.zeros_like(z)
-    else:
-        normed = (z - mean) / std
+        std = z.std(axis=-1, keepdims=True)  # population convention: no T-1 edge case at T=1
+    normed = np.divide(z - mean, std, out=np.zeros_like(z), where=std != 0)
     return 1.0 / (1.0 + np.exp(-normed))
 
 
 def sequence_base_probabilities(table: FrequencyTable, tokens: np.ndarray) -> np.ndarray:
-    """Per-position base masking probabilities for one sequence.
+    """Per-position base masking probabilities of a (T,) sequence, or of
+    each row of a (B, T) block.
 
     The rarity score is looked up per position and standardized over the
-    positions of this sequence (population std), then squashed. This is
+    positions of its sequence (population std), then squashed. This is
     the vector the coarse-to-fine schedule rescales.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.min(initial=0) < 0 or (tokens.size and tokens.max() >= table.vocab_size):
+    if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= table.vocab_size:
         raise ValueError("token id outside [0, vocab_size)")
     return standardized_sigmoid(table.idf[tokens])
 

@@ -1,5 +1,6 @@
 """Suspicion scoring for decoded sequences: detect likely-wrong tokens,
-re-mask them, and route them back through the predictor.
+re-mask them, and route them back through the predictor, a (T,) sequence
+or a (B, T) block at a time.
 
 The scorer shares the predictor's feature scheme -- embed each token,
 concatenate a window of radius ``radius`` around the position -- but maps
@@ -52,8 +53,8 @@ class CorrectorModel:
 
 @dataclass
 class CorrectorVerdict:
-    suspicion: np.ndarray  # (T,) in (0, 1)
-    remask: np.ndarray  # (T,) int8; 1 where suspicion > threshold
+    suspicion: np.ndarray  # ([B,] T) in (0, 1)
+    remask: np.ndarray  # ([B,] T) int8; 1 where suspicion > threshold
 
 
 @dataclass
@@ -186,35 +187,42 @@ def correct(
     refill: ScheduleConfig | None = None,
     p_base: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Re-mask suspicious positions and refill them, up to ``rounds`` times.
+    """Re-mask suspicious positions and refill them, up to ``rounds`` times,
+    in a (T,) sequence or each row of a (B, T) block, ``ctx`` and ``p_base``
+    of the same shape.
 
-    Each round scores the current sequence, masks every flagged position,
-    and refills them by a greedy ``decode`` from the masked sequence under
-    the ``refill`` schedule. ``None`` means one step: a single forward pass
-    whose argmax commits every flagged position. Stops early when nothing
-    is flagged or a round leaves the sequence unchanged (a fixed point:
-    identical input would be flagged and refilled identically). Positions
-    never flagged are never modified; rounds=0 is the identity. Raises
-    ``NumericsError`` when the suspicion scores or the refill probabilities
-    are not finite.
+    Each round scores the rows not yet at a fixed point, masks every flagged
+    position, and refills them by one greedy lockstep ``decode`` under the
+    ``refill`` schedule. ``None`` means one step: a single forward pass whose
+    argmax commits every flagged position. A row stops when nothing in it is
+    flagged or a round leaves it unchanged (identical input would be flagged
+    and refilled identically); a stopped row opens nothing, so each row ends
+    bit for bit as its own call would. Positions never flagged are never
+    modified; rounds=0 is the identity. Raises ``NumericsError`` when the
+    suspicion scores or the refill probabilities are not finite.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     if refill is None:
         refill = ScheduleConfig(n_steps=1)
     current = np.asarray(decoded, dtype=np.int64).copy()
-    mask_id = predictor.mask_token_id
+    rows = current.reshape(-1, current.shape[-1])  # a view: one sequence is a block of one
+    active = np.ones(rows.shape[0], dtype=bool)  # the rows not yet at a fixed point
     for r in range(rounds):
-        verdict = detect_and_remask(current, corrector, threshold)
+        if not active.any():
+            break
+        verdict = detect_and_remask(current if current.ndim == 1 else rows[active], corrector, threshold)
         if not np.isfinite(verdict.suspicion).all():
             raise NumericsError(f"non-finite suspicion scores in correction round {r}")
-        if not verdict.remask.any():
+        remask = np.zeros(rows.shape, dtype=np.int8)
+        remask[active] = verdict.remask
+        active &= remask.any(axis=1)
+        if not active.any():
             break
-        masked = apply_mask(current, verdict.remask, mask_id)
-        refilled, _ = decode(predictor, ctx, refill, p_base=p_base, initial=masked)
-        if np.array_equal(refilled, current):
-            break
-        current = refilled
+        masked = apply_mask(current, remask.reshape(current.shape), predictor.mask_token_id)
+        refilled = decode(predictor, ctx, refill, p_base=p_base, initial=masked)[0].reshape(rows.shape)
+        active &= (refilled != rows).any(axis=1)
+        rows[:] = refilled
     return current
 
 

@@ -9,9 +9,10 @@ config produces byte-identical CSV artifacts. ``start_run`` is the prologue
 of every run: it validates the config, creates the output directories and
 stamps every CSV with a config-hash comment line for exact reproduction.
 
-``decode_all`` is the one per-sequence inference loop, for ``evaluate`` and
-``maskgen decode``. It spreads its rows, and ``compare_masking_modes`` its
-trainings, over the CPUs the call may use (see ``cpus``).
+``decode_all`` is the one inference loop, for ``evaluate`` and ``maskgen
+decode``; it decodes and corrects blocks of rows. It spreads its rows, and
+``compare_masking_modes`` its trainings, over the CPUs the call may use
+(see ``cpus``).
 """
 
 from __future__ import annotations
@@ -39,14 +40,7 @@ from .corpus import (
 from .cpus import cpu_shards, fan_out, train_cells
 from .decoder import decode
 from .errors import ConfigError
-from .predictor import (
-    ConditioningContext,
-    EpochStats,
-    PredictorModel,
-    TrainConfig,
-    build_conditioning,
-    train,
-)
+from .predictor import EpochStats, PredictorModel, TrainConfig, build_conditioning, train
 from .schedule import MaskMode, ScheduleConfig
 
 
@@ -308,11 +302,11 @@ def decode_all(
 
     The rows are split into ``cpu_shards``; ``fan_out`` decodes the first
     here and each other in a forked child, and the parts are joined in row
-    order. A shard hands ``decode`` blocks of ``DECODE_BLOCK`` rows, which
-    it runs in lockstep, and corrects each row on its own. Rows are
-    independent, so the result depends neither on the number of shards nor
-    on the block size. The generators of rows decoded in a child are not
-    advanced in this process.
+    order. A shard builds the conditioning and rarity priors of a block of
+    ``DECODE_BLOCK`` rows in one call each, and hands the block to one
+    lockstep ``decode`` and one ``correct``. Rows are independent, so the
+    result depends neither on the number of shards nor on the block size.
+    The generators of rows decoded in a child are not advanced here.
     """
     rngs = list(rngs)
     n = observations.shape[0]
@@ -328,15 +322,12 @@ def decode_all(
         for lo in range(0, shard.shape[0], DECODE_BLOCK):
             block = slice(lo, lo + DECODE_BLOCK)
             ctx = build_conditioning(shard[block], model)
-            p_base = np.array([sequence_base_probabilities(freq, obs) for obs in shard[block]]) if ctf else None
+            p_base = sequence_base_probabilities(freq, shard[block]) if ctf else None
             out, traces[block] = decode(model, ctx, sched, shard_rngs[block], temperature, p_base)
             if before is not None:
                 before[block] = out
             if corrector is not None:
-                for j in range(out.shape[0]):
-                    row_ctx = ConditioningContext(ctx.cond[j], ctx.global_embed[j], ctx.source_tokens[j])
-                    row_p_base = p_base[j] if ctf else None
-                    out[j] = correct(out[j], model, row_ctx, corrector, theta, rounds, refill=refill, p_base=row_p_base)
+                out = correct(out, model, ctx, corrector, theta, rounds, refill=refill, p_base=p_base)
             decoded[block] = out
         return (decoded, traces) if before is None else (decoded, traces, before)
 

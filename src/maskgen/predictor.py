@@ -759,8 +759,8 @@ def train(
     update divides the summed gradient by the batch's masked-token count.
     Each minibatch runs as one batched pass (see ``_draw_batch`` and
     ``_batch_pass``), bit for bit the same as accumulating example by
-    example. A document's coarse-to-fine rarity priors do not depend on the
-    epoch, so they are built once per document. Deterministic for a fixed
+    example. The coarse-to-fine rarity priors do not depend on the epoch,
+    so one call builds them for the whole corpus. Deterministic for a fixed
     seed; runs on one OpenBLAS thread and sets the process's heap to keep
     freed pages (see ``blas``).
 
@@ -782,11 +782,7 @@ def train(
         model = helper.model
     history: list[EpochStats] = []
     try:
-        priors = None
-        if sched.mode is MaskMode.CTF:
-            priors = np.empty(corpus.tokens.shape)
-            for j, doc in enumerate(corpus.tokens):
-                priors[j] = sequence_base_probabilities(freq, doc)
+        priors = sequence_base_probabilities(freq, corpus.tokens) if sched.mode is MaskMode.CTF else None
         batches = _minibatches(corpus, priors, sched, hyper, rng)
         upcoming = next(batches, None)
         for epoch in range(hyper.epochs):

@@ -322,6 +322,46 @@ class TestSequenceBaseProbabilities:
         with pytest.raises(ValueError):
             sequence_base_probabilities(table, np.array([4]))
 
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(0, 5),
+        t=st.integers(1, 12),
+        v=st.integers(1, 8),
+        constant_row=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(batch=0, t=4, v=3, constant_row=False, seed=0)
+    @example(batch=3, t=1, v=5, constant_row=False, seed=1)
+    @example(batch=4, t=12, v=8, constant_row=True, seed=2)
+    def test_a_block_equals_its_row_calls(self, batch, t, v, constant_row, seed):
+        rng = np.random.default_rng(seed)
+        table = FrequencyTable(doc_freq=rng.integers(1, 10, size=v), num_docs=10)
+        block = rng.integers(0, v, size=(batch, t))
+        if constant_row and batch:
+            block[-1] = block[-1, 0]
+        p = sequence_base_probabilities(table, block)
+        assert p.shape == (batch, t) and p.dtype == np.float64
+        for j in range(batch):
+            assert p[j].tobytes() == sequence_base_probabilities(table, block[j]).tobytes(), j
+
+    def test_a_block_keeps_the_hand_values(self):
+        table = document_frequency(hand_corpus())
+        p = sequence_base_probabilities(table, np.array([[2, 2, 2, 2], [1, 2, 3, 3], [3, 3, 3, 3]]))
+        assert np.all(p[0] == 0.5) and np.all(p[2] == 0.5)  # constant rows
+        assert p[1, 0] > p[1, 1] == p[1, 2] == p[1, 3]
+        assert np.all(sequence_base_probabilities(table, np.array([[1], [2]])) == 0.5)  # T = 1
+        assert sequence_base_probabilities(table, np.empty((0, 4), dtype=np.int64)).shape == (0, 4)
+
+    def test_a_block_rejects_an_out_of_range_token(self):
+        table = document_frequency(hand_corpus())
+        with pytest.raises(ValueError):
+            sequence_base_probabilities(table, np.array([[1, 2], [3, 4]]))
+
+    def test_standardized_sigmoid_takes_statistics_per_row(self):
+        p = standardized_sigmoid(np.array([[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]]))
+        np.testing.assert_allclose(p[0], [0.22710251943568419, 0.5, 0.7728974805643157], atol=1e-12)
+        assert np.all(p[1] == 0.5)
+
 
 class TestCorpusIO:
     @settings(derandomize=True, max_examples=40, deadline=None)

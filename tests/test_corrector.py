@@ -30,7 +30,7 @@ from maskgen.corrector import (
 )
 from maskgen.errors import NumericsError
 from maskgen.predictor import build_conditioning, init_model
-from maskgen.schedule import ScheduleConfig
+from maskgen.schedule import MaskMode, ScheduleConfig
 
 
 class TestCorruptForTraining:
@@ -264,6 +264,87 @@ class TestCorrect:
         predictor, corrector, ctx, decoded = tiny_setup(24)
         with pytest.raises(ValueError):
             correct(decoded, predictor, ctx, corrector, 0.5, rounds=-1)
+
+
+def block_setup(seed, batch, t):
+    """``tiny_setup``'s models with a (batch, t) block of distorted
+    observations, decoded rows and rarity priors in (0, 1]."""
+    predictor, corrector, _, _ = tiny_setup(seed)
+    rng = np.random.default_rng([seed, batch, t])
+    distorted, decoded = rng.integers(0, 4, size=(2, batch, t))
+    return predictor, corrector, distorted, decoded, 1.0 - rng.random((batch, t))
+
+
+class TestBlockCorrect:
+    """``correct`` on a (B, T) block refills its rows with one lockstep
+    ``decode`` per round and stops each row at its own fixed point; every
+    row must come out as a call on that row alone does, bit for bit."""
+
+    @staticmethod
+    def rows_equal_block(seed, batch, t, theta, rounds, full, ctf):
+        """Assert the block equals its row calls and scores the rows they
+        score; return the number of rounds each row's own call scored."""
+        predictor, corrector, distorted, decoded, p_base = block_setup(seed, batch, t)
+        p_base = p_base if ctf else None
+        mode = MaskMode.CTF if ctf else MaskMode.UNIFORM_COSINE
+        refill = ScheduleConfig(n_steps=min(3, t), mode=mode) if full else None
+        calls = []
+        real = corrector_mod.detect_and_remask
+
+        def recording(tokens, model, threshold):
+            calls.append(tokens.shape)
+            return real(tokens, model, threshold)
+
+        with mock.patch.object(corrector_mod, "detect_and_remask", recording):
+            out = correct(decoded, predictor, build_conditioning(distorted, predictor), corrector, theta, rounds,
+                          refill=refill, p_base=p_base)
+            assert out.shape == (batch, t) and out.dtype == np.int64
+            block_calls, scored = calls[:], []
+            for j in range(batch):
+                calls.clear()
+                row = correct(decoded[j], predictor, build_conditioning(distorted[j], predictor), corrector, theta,
+                              rounds, refill=refill, p_base=None if p_base is None else p_base[j])
+                assert out[j].tobytes() == row.tobytes(), j
+                assert set(calls) <= {(t,)}  # a single row is scored as a (T,) sequence
+                scored.append(len(calls))
+        # each round scores just the rows not yet at a fixed point
+        assert all(len(shape) == 2 and shape[1] == t for shape in block_calls)
+        assert sum(shape[0] for shape in block_calls) == sum(scored)
+        return scored
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        batch=st.integers(0, 5),
+        t=st.integers(1, 12),
+        theta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        rounds=st.integers(0, 4),
+        full=st.booleans(),
+        ctf=st.booleans(),
+    )
+    @example(seed=0, batch=0, t=5, theta=0.5, rounds=2, full=True, ctf=True)
+    @example(seed=1, batch=5, t=1, theta=0.0, rounds=4, full=False, ctf=True)
+    @example(seed=2, batch=5, t=12, theta=1.0, rounds=3, full=True, ctf=False)
+    @example(seed=3, batch=5, t=12, theta=0.0, rounds=4, full=True, ctf=True)
+    def test_block_equals_single_rows(self, seed, batch, t, theta, rounds, full, ctf):
+        self.rows_equal_block(seed, batch, t, theta, rounds, full, ctf)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["single", "full"])
+    @pytest.mark.parametrize("ctf", [False, True], ids=["uniform", "ctf"])
+    def test_rows_that_stop_at_different_rounds(self, full, ctf):
+        scored = [self.rows_equal_block(seed, 5, 10, 0.5, 4, full, ctf) for seed in range(20)]
+        # several blocks whose rows stopped after three different round counts or more
+        assert sum(len(set(rounds)) >= 3 for rounds in scored) >= 3, scored
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_a_non_finite_corrector_raises_as_on_one_row(self, batch):
+        predictor, corrector, distorted, decoded, _ = block_setup(28, batch, 6)
+        corrector.w[:] = np.nan
+        with pytest.raises(NumericsError) as one:
+            correct(decoded[0], predictor, build_conditioning(distorted[0], predictor), corrector, 0.5, 2)
+        with pytest.raises(NumericsError) as block:
+            correct(decoded, predictor, build_conditioning(distorted, predictor), corrector, 0.5, 2)
+        assert str(block.value) == str(one.value) == "non-finite suspicion scores in correction round 0"
 
 
 class TestRocAuc:

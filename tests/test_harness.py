@@ -874,6 +874,31 @@ class TestFanOut:
             for mine, theirs in zip(whole, self.decode(inputs, 5, temperature, use_corrector=True), strict=True):
                 assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), block
 
+    def test_a_block_is_prioritized_and_corrected_in_one_call_each(self, monkeypatch):
+        import maskgen.harness as harness_mod
+
+        self.cpus(monkeypatch, 1)  # every block here, where the spies see it
+        shapes = {"correct": [], "sequence_base_probabilities": []}
+
+        def spying(name, arg):  # records the shape of argument ``arg`` of each call
+            real = getattr(harness_mod, name)
+
+            def spy(*args, **kwargs):
+                shapes[name].append(np.shape(args[arg]))
+                return real(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(harness_mod, "correct", spying("correct", 0))
+        monkeypatch.setattr(harness_mod, "sequence_base_probabilities", spying("sequence_base_probabilities", 1))
+        rng = np.random.default_rng(8)
+        obs = generate_corpus(16, 20, 12, 1.2, 1, seed=4)
+        sched = ScheduleConfig(n_steps=4, mode=MaskMode.CTF)
+        decode_all(init_model(16, 4, 1, rng), obs.tokens, sched, document_frequency(obs), init_corrector(16, 4, 1, rng),
+                   0.5, 2, refill=None, temperature=0.0, rngs=[None] * 20)
+        blocks = [(8, 12), (8, 12), (4, 12)]
+        assert shapes == {"correct": blocks, "sequence_base_probabilities": blocks}
+
     def test_the_working_set_does_not_grow_with_the_rows(self, monkeypatch):
         # decode_all hands decode blocks of DECODE_BLOCK rows, so on one CPU
         # the memory it needs beyond the arrays it returns is that of one

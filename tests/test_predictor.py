@@ -281,6 +281,23 @@ class TestTrain:
         _, history = train(corpus, freq, sched, cfg)
         assert len(history) == 2 and all(math.isfinite(h.loss_per_token) for h in history)
 
+    def test_ctf_priors_are_built_in_one_call(self, monkeypatch):
+        import maskgen.predictor as predictor_mod
+
+        monkeypatch.setattr(predictor_mod, "usable_cpus", lambda: 1)  # no helper: every call is made here
+        shapes = []
+        real = predictor_mod.sequence_base_probabilities
+
+        def spy(table, tokens):
+            shapes.append(np.shape(tokens))
+            return real(table, tokens)
+
+        monkeypatch.setattr(predictor_mod, "sequence_base_probabilities", spy)
+        corpus = generate_corpus(8, 16, 20, 1.2, 1, seed=9)
+        cfg = TrainConfig(lr=0.8, epochs=2, batch=4, rho=0.3, seed=10, dim=4, radius=1)
+        train(corpus, document_frequency(corpus), ScheduleConfig(n_steps=8, mode=MaskMode.CTF), cfg)
+        assert shapes == [(16, 20)]
+
     def test_learned_accuracy_beats_chance_margin(self):
         # V=16 Zipf(1.2) first-order corpus; the bar is 5x the 1/16 chance
         # rate (pilot runs reach ~0.7 via conditioning plus context)
